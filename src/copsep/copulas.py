@@ -185,24 +185,32 @@ class ClaytonCopula(Copula):
     def family(self) -> str:
         return "clayton"
 
-    def _log_powsum(self, pts):
+    def _log_powsum(self, log_u):
         # log(sum u_i^{-theta} - (d-1)) without overflow for extreme theta
-        a = -self.theta * np.log(pts)
+        a = -self.theta * log_u
         m = a.max(axis=0)
         s = np.exp(a - m).sum(axis=0) - (self.dim - 1) * np.exp(-m)
         return m + np.log(s)
 
     def _cdf(self, pts):
-        return np.exp(-self._log_powsum(pts) / self.theta)
+        return np.exp(-self._log_powsum(np.log(pts)) / self.theta)
 
-    def _log_density(self, pts):
+    @staticmethod
+    def _log_terms(pts):
+        """The theta-free terms of the log density: log u and its sum over
+        the channels."""
+        log_u = np.log(pts)
+        return log_u, log_u.sum(axis=0)
+
+    def _log_density_of(self, terms):
+        """Log density from the terms of :meth:`_log_terms`."""
+        log_u, log_u_sum = terms
         th, d = self.theta, self.dim
         lead = np.log1p(th * np.arange(1, d)).sum()
-        return (
-            lead
-            - (th + 1.0) * np.log(pts).sum(axis=0)
-            - (1.0 / th + d) * self._log_powsum(pts)
-        )
+        return lead - (th + 1.0) * log_u_sum - (1.0 / th + d) * self._log_powsum(log_u)
+
+    def _log_density(self, pts):
+        return self._log_density_of(self._log_terms(pts))
 
     def _sample(self, n, rng):
         # gamma-frailty construction: u_i = (1 + e_i / v)^{-1/theta}
@@ -242,18 +250,30 @@ class GumbelCopula(Copula):
     def _cdf(self, pts):
         return np.exp(-np.exp(self._log_s(pts) / self.theta))
 
-    def _log_density(self, pts):
+    @staticmethod
+    def _log_terms(pts):
+        """The theta-free terms of the log density: log(-log u) per
+        channel, its sum over the channels, and the sum of log u."""
+        log_u = np.log(pts)
+        log_x = np.log(-log_u)
+        return log_x, log_x[0] + log_x[1], log_u.sum(axis=0)
+
+    def _log_density_of(self, terms):
+        """Log density from the terms of :meth:`_log_terms`."""
+        log_x, log_x_sum, log_u_sum = terms
         th = self.theta
-        log_x = np.log(-np.log(pts))
         log_s = np.logaddexp(th * log_x[0], th * log_x[1])
         s_root = np.exp(log_s / th)
         return (
             -s_root
-            + (th - 1.0) * (log_x[0] + log_x[1])
+            + (th - 1.0) * log_x_sum
             + (1.0 / th - 2.0) * log_s
             + np.log(s_root + th - 1.0)
-            - np.log(pts).sum(axis=0)
+            - log_u_sum
         )
+
+    def _log_density(self, pts):
+        return self._log_density_of(self._log_terms(pts))
 
     def _conditional_log(self, x, y):
         # log of d/du C(u,v) at x=-ln u, y=-ln v, elementwise; decreasing in y from 0 to -inf
@@ -452,32 +472,57 @@ def _theta_from_tau(family: str, tau):
     return 2.0 * tau / (1.0 - tau) if family == "clayton" else 1.0 / (1.0 - tau)
 
 
-def _fit_archimedean(pseudo: PseudoObservations, family: str):
-    tau = mean_pairwise_tau(pseudo)
-    d = pseudo.n_channels
-    tau = min(tau, 0.9999)
-    if family == "clayton":
-        if tau <= 0.0:
-            raise FamilyDomainError(
-                f"clayton models positive dependence only; kendall tau estimate is {tau:.4f}"
-            )
-        theta0 = _theta_from_tau(family, tau)
-        lo, hi = theta0 / 4.0, 4.0 * theta0
-        make = lambda th: ClaytonCopula(th, d)
-    else:
-        if d != 2:
-            raise FamilyDomainError(f"gumbel is bivariate only, got dimension {d}")
-        theta0 = _theta_from_tau(family, tau)
-        lo, hi = max(1.0, theta0 / 4.0), max(1.0 + 1e-9, 4.0 * theta0)
-        make = lambda th: GumbelCopula(th)
+# Golden-section tolerance on theta, and how many times an optimum on an
+# interior bracket edge widens that side fourfold before the fit gives up.
+_THETA_TOL = 1e-6
+_BRACKET_WIDENINGS = 4
 
-    pts = pseudo.values
+
+def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
+    """Maximum pseudo-likelihood clayton or gumbel fit, given the block's
+    mean pairwise Kendall tau.
+
+    theta0 comes from the tau inversion, and a golden section searches
+    [theta0/4, 4 theta0] intersected with the family domain. An optimum
+    on a bracket edge that is not the domain bound (gumbel's theta = 1)
+    widens that side fourfold and searches again, at most
+    _BRACKET_WIDENINGS times. The theta-free log terms are computed once;
+    each step evaluates only the theta-dependent remainder.
+
+    Raises FamilyDomainError for gumbel beyond two channels, for tau <= 0
+    (both families model positive dependence only), and when the optimum
+    still lies on an interior edge after the last widening.
+    """
+    d = pseudo.n_channels
+    if family == "gumbel" and d != 2:
+        raise FamilyDomainError(f"gumbel is bivariate only, got dimension {d}")
+    if tau <= 0.0:
+        raise FamilyDomainError(
+            f"{family} models positive dependence only; kendall tau estimate is {tau:.4f}"
+        )
+    theta0 = _theta_from_tau(family, min(tau, 0.9999))
+    if family == "clayton":
+        cls, floor, make = ClaytonCopula, 0.0, lambda th: ClaytonCopula(th, d)
+    else:
+        cls, floor, make = GumbelCopula, 1.0, GumbelCopula
+    terms = cls._log_terms(pseudo.values)
 
     def mean_log_density(th):
-        return float(np.mean(make(th)._log_density(pts)))
+        return float(np.mean(make(th)._log_density_of(terms)))
 
-    theta = _golden_section_max(mean_log_density, lo, hi, 1e-6)
-    return make(theta)
+    lo, hi = max(floor, theta0 / 4.0), 4.0 * theta0
+    for _ in range(_BRACKET_WIDENINGS + 1):
+        theta = _golden_section_max(mean_log_density, lo, hi, _THETA_TOL)
+        if theta - lo <= _THETA_TOL and lo > floor:
+            lo = max(floor, lo / 4.0)
+        elif hi - theta <= _THETA_TOL:
+            hi *= 4.0
+        else:
+            return make(theta)
+    raise FamilyDomainError(
+        f"{family} likelihood still rises at the bracket edge theta = {theta:.6g} "
+        f"after {_BRACKET_WIDENINGS} widenings"
+    )
 
 
 def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
@@ -485,9 +530,13 @@ def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
 
     product: no parameters. gaussian: normal-scores correlation matrix,
     eigenvalue-floored at 1e-8 and rescaled to unit diagonal.
-    clayton/gumbel: theta initialized by Kendall-tau inversion, then
-    maximum mean log density by golden-section search (tolerance 1e-6)
-    on [theta0/4, 4*theta0] intersected with the family domain.
+    clayton/gumbel: theta initialized by inverting the mean pairwise
+    Kendall tau, then maximum mean log density by golden-section search
+    (tolerance 1e-6) on [theta0/4, 4*theta0] intersected with the family
+    domain, widened where the optimum lands on an interior edge. Both
+    model positive dependence only: a mean tau <= 0 raises
+    FamilyDomainError, as does gumbel beyond two channels or an optimum
+    that stays on a bracket edge after the widenings.
     """
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown family '{family}'; expected one of {FAMILY_NAMES}")
@@ -506,7 +555,7 @@ def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
             rho = 0.5 * (rho + rho.T)
             np.fill_diagonal(rho, 1.0)
         return GaussianCopula(rho)
-    return _fit_archimedean(pseudo, family)
+    return _fit_archimedean(pseudo, family, mean_pairwise_tau(pseudo))
 
 
 def stationarity_residual(model: Copula, pseudo: PseudoObservations, step: float = 1e-5) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 
 from .copulas import normal_scores_correlation
 from .exceptions import DegenerateDependenceError, NonConvergenceError
-from .margins import pseudo_observations
+from .margins import PseudoObservations, pseudo_observations
 from .signals import SignalMatrix
 
 __all__ = ["fastica", "normalize_components", "mutual_information"]
@@ -121,20 +121,21 @@ def normalize_components(rotation: np.ndarray, z: SignalMatrix) -> np.ndarray:
     return out
 
 
-def mutual_information(signals: SignalMatrix) -> float:
+def mutual_information(signals: SignalMatrix | PseudoObservations) -> float:
     """Mutual information between channels, in nats.
 
     Plug-in estimate through a Gaussian copula: correlate the normal
     scores of the rank-based pseudo-observations and return
     -log(det)/2, clamped below at zero. Invariant under strictly
     increasing per-channel transforms. This is a dependence proxy, not
-    a universal estimator.
+    a universal estimator. Pseudo-observations are used as given, which
+    saves ranking them again (that would return the same values).
     """
     if signals.n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {signals.n_samples}")
     if signals.n_channels == 1:
         return 0.0
-    u = pseudo_observations(signals)
+    u = signals if isinstance(signals, PseudoObservations) else pseudo_observations(signals)
     rho = normal_scores_correlation(u.values)
     sign, logdet = np.linalg.slogdet(rho)
     if sign <= 0.0 or logdet < np.log(1e-12):

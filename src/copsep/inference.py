@@ -15,6 +15,7 @@ from itertools import product as _cartesian
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse.csgraph import connected_components
 
 from .copulas import (
     FAMILY_NAMES,
@@ -24,6 +25,7 @@ from .copulas import (
     GaussianCopula,
     GumbelCopula,
     ProductCopula,
+    _fit_archimedean,
     _theta_from_tau,
     copula_entropy,
     fit_copula,
@@ -114,18 +116,22 @@ def _bic_penalty(n_params: int, n_samples: int) -> float:
     return n_params * np.log(n_samples) / (2.0 * n_samples)
 
 
+def _penalized_score(model: Copula, values: np.ndarray) -> float:
+    """Mean log density minus k log T / (2 T) for k parameters."""
+    mean_ld = float(np.mean(model.log_density(values)))
+    return mean_ld - _bic_penalty(_parameter_count(model), values.shape[1])
+
+
 def _score_families(pseudo: PseudoObservations, menu):
-    """Fit each applicable family; return (score, menu position, family, model)
-    with score = mean log density - k log T / (2 T) for k parameters."""
+    """Fit each applicable family; return (score, menu position, family,
+    model) with the score of ``_penalized_score``."""
     scored = []
     for pos, family in enumerate(menu):
         try:
             model = fit_copula(pseudo, family)
         except FamilyDomainError:
             continue
-        mean_ld = float(np.mean(model.log_density(pseudo.values)))
-        penalty = _bic_penalty(_parameter_count(model), pseudo.n_samples)
-        scored.append((mean_ld - penalty, pos, family, model))
+        scored.append((_penalized_score(model, pseudo.values), pos, family, model))
     return scored
 
 
@@ -148,6 +154,17 @@ def select_family(pseudo: PseudoObservations, menu) -> str:
     return best[2]
 
 
+def _tau_matrix(values: np.ndarray) -> np.ndarray:
+    """Kendall tau of every pair of rows, as a symmetric matrix with unit
+    diagonal."""
+    d = values.shape[0]
+    tau = np.eye(d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            tau[i, j] = tau[j, i] = kendall_tau(values[i], values[j])
+    return tau
+
+
 def detect_partition(pseudo: PseudoObservations, tau_threshold: float) -> BlockPartition:
     """Group channels into blocks: connected components of the graph with
     an edge wherever |kendall tau| or the energy rank correlation
@@ -162,63 +179,80 @@ def detect_partition(pseudo: PseudoObservations, tau_threshold: float) -> BlockP
         raise ValueError(f"need at least 100 samples, got {pseudo.n_samples}")
     if not 0.0 < tau_threshold < 1.0:
         raise ValueError(f"tau threshold must lie inside (0, 1), got {tau_threshold}")
-    n = pseudo.n_channels
     u = pseudo.values
-    energy = np.abs(u - 0.5)
-    adjacency = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (
-                abs(kendall_tau(u[i], u[j])) > tau_threshold
-                or abs(kendall_tau(energy[i], energy[j])) > tau_threshold
-            ):
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-    unvisited = set(range(n))
-    blocks = []
-    while unvisited:
-        start = min(unvisited)
-        stack = [start]
-        component = set()
-        while stack:
-            node = stack.pop()
-            if node in component:
-                continue
-            component.add(node)
-            stack.extend(k for k in adjacency[node] if k not in component)
-        unvisited -= component
-        blocks.append(tuple(sorted(component)))
-    return BlockPartition(tuple(blocks), n)
+    edges = (np.abs(_tau_matrix(u)) > tau_threshold) | (
+        np.abs(_tau_matrix(np.abs(u - 0.5))) > tau_threshold
+    )
+    n_blocks, labels = connected_components(edges, directed=False)
+    return BlockPartition(tuple(np.flatnonzero(labels == k) for k in range(n_blocks)), pseudo.n_channels)
 
 
-def _best_orientation(pseudo: PseudoObservations, menu):
-    """Resolve the sign indeterminacy of a dependent block.
+def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu):
+    """Resolve the sign indeterminacy of a dependent block and fit it.
 
     Rotation estimation fixes component signs by a convention that is
-    blind to the dependence structure, but tail-asymmetric families
-    (clayton, gumbel) are not flip-invariant. Try every sign pattern,
-    score each by the best penalized family fit, and keep the winner.
-    Ties prefer fewer flips, then the earlier pattern.
+    blind to the dependence structure, but the tail-asymmetric families
+    (clayton, gumbel) are not flip-invariant. Every sign pattern is
+    scored by its best family fit (see ``_penalized_score``); ties
+    prefer fewer flips, then the earlier pattern, and within a pattern
+    the earlier family in the menu.
+
+    Each piece of work is done once per block. ``tau`` is the block's
+    Kendall-tau matrix: a pattern s turns entry (i, j) into
+    s_i s_j tau_ij exactly, because tau's numerator is an integer.
+    Flipped rows get 1 - u, which equals, up to rounding, the
+    pseudo-observations of the negated components. Product and gaussian
+    scores do not depend on the pattern, so they are fitted and scored
+    once; only clayton and gumbel are fitted per pattern, and a pattern
+    with flips can win only through them.
+
+    Returns
+    -------
+    (pattern, model) : the flips, one bool per channel, and the winning
+    family fitted to the block with the flipped rows negated.
     """
     d = pseudo.n_channels
-    sensitive = any(f in ("clayton", "gumbel") for f in menu)
-    patterns = list(_cartesian((False, True), repeat=d)) if sensitive else [(False,) * d]
+    invariant = []
+    asymmetric = []
+    for pos, family in enumerate(menu):
+        if family in _TAIL_ASYMMETRIC:
+            asymmetric.append((pos, family))
+        else:
+            model = fit_copula(pseudo, family)
+            invariant.append((_penalized_score(model, pseudo.values), pos, model))
+    patterns = list(_cartesian((False, True), repeat=d)) if asymmetric else [(False,) * d]
+    upper = np.triu_indices(d, 1)
+    flipped = 1.0 - pseudo.values
     best = None
     for idx, pattern in enumerate(patterns):
-        values = pseudo.values.copy()
-        for row, flip in enumerate(pattern):
-            if flip:
-                values[row] = 1.0 - values[row]
-        scored = _score_families(PseudoObservations(values), menu)
-        if not scored:
+        sign = np.where(pattern, -1.0, 1.0)
+        mean_tau = float(np.mean((np.outer(sign, sign) * tau)[upper]))
+        values = np.where(np.array(pattern)[:, None], flipped, pseudo.values)
+        candidates = list(invariant)
+        for pos, family in asymmetric:
+            try:
+                model = _fit_archimedean(PseudoObservations(values), family, mean_tau)
+            except FamilyDomainError:
+                continue
+            candidates.append((_penalized_score(model, values), pos, model))
+        if not candidates:
             continue
-        score, pos, family, _ = max(scored, key=lambda item: (item[0], -item[1]))
+        score, _, model = max(candidates, key=lambda item: (item[0], -item[1]))
         key = (score, -sum(pattern), -idx)
         if best is None or key > best[0]:
-            best = (key, pattern, family)
+            best = (key, pattern, model)
     if best is None:
         raise FamilyDomainError(f"no family in {menu} is applicable to this block in any orientation")
     return best[1], best[2]
+
+
+def _fit_block(pseudo: PseudoObservations, block, menu):
+    """Orientation and copula of one block (see ``_best_orientation``),
+    from its own tau matrix; failures name the block."""
+    try:
+        return _best_orientation(pseudo, _tau_matrix(pseudo.values), menu)
+    except CopsepError as err:
+        raise BlockFitError(f"block {block}: {err}", block=block) from err
 
 
 def fit_dependence(
@@ -227,8 +261,13 @@ def fit_dependence(
     partition: BlockPartition | None = None,
     tau_threshold: float = 0.1,
 ):
-    """Phase 2: partition the components, orient and fit one copula per
-    non-singleton block, and assemble the factorial model.
+    """Phase 2: partition the components, then orient and fit one copula
+    per non-singleton block.
+
+    The sources are ranked once. Each block gets its Kendall-tau matrix
+    once, and one orientation search that returns the fitted copula
+    with the winning sign pattern (see ``_best_orientation``), so no
+    block is refitted after it is oriented.
 
     Returns
     -------
@@ -245,31 +284,14 @@ def fit_dependence(
         raise ValueError(f"partition covers {partition.n_channels} channels, data has {n}")
 
     flips = np.zeros(n, dtype=bool)
-    chosen = {}
-    for block in partition.blocks:
-        if len(block) == 1:
-            continue
-        try:
-            pattern, family = _best_orientation(pseudo.restrict(block), menu)
-        except CopsepError as err:
-            raise BlockFitError(f"block {block}: {err}", block=block) from err
-        chosen[block] = family
-        for row, flip in zip(block, pattern):
-            flips[row] = flip
-
-    if flips.any():
-        oriented = sources.values * np.where(flips, -1.0, 1.0)[:, None]
-        pseudo = pseudo_observations(SignalMatrix(oriented))
-
     models = []
     for block in partition.blocks:
         if len(block) == 1:
             models.append(ProductCopula(1))
             continue
-        try:
-            models.append(fit_copula(pseudo.restrict(block), chosen[block]))
-        except CopsepError as err:
-            raise BlockFitError(f"block {block}: {err}", block=block) from err
+        pattern, model = _fit_block(pseudo.restrict(block), block, menu)
+        flips[list(block)] = pattern
+        models.append(model)
     return partition, FactorialCopula(partition, tuple(models)), flips
 
 
@@ -279,8 +301,9 @@ def kl_decomposition(signals: SignalMatrix, model: Copula):
     The total is their sum: dependence left unexplained by treating
     channels as independent, minus what the copula model accounts for.
     """
-    i = mutual_information(signals)
-    h = copula_entropy(model, pseudo_observations(signals))
+    pseudo = pseudo_observations(signals)
+    i = mutual_information(pseudo)
+    h = copula_entropy(model, pseudo)
     return i, h, i + h
 
 
@@ -490,32 +513,36 @@ def cca_fit(
     rotation = normalize_components(rotation, z)
     components = SignalMatrix(rotation @ z.values)
 
+    menu = _check_menu(families)
     part, copula, flips = fit_dependence(
-        components, families=families, partition=partition, tau_threshold=tau_threshold
+        components, families=menu, partition=partition, tau_threshold=tau_threshold
     )
-    within = _refine_blocks(components, part, copula, flips, _check_menu(families))
-    if not np.array_equal(within, np.eye(x.n_channels)):
-        _, refit, refit_flips = fit_dependence(
-            SignalMatrix(within @ components.values), families=families, partition=part
-        )
-        # a refined pair stands only where the refit confirms a tail-asymmetric
-        # family; otherwise it keeps the rotation-phase coordinates and fit
-        models = []
-        for block, first, second in zip(part.blocks, copula.blocks, refit.blocks):
-            rows = list(block)
-            if len(block) == 2 and second.family not in _TAIL_ASYMMETRIC:
-                within[np.ix_(rows, rows)] = np.eye(2)
-                models.append(first)
-            else:
-                flips[rows] = refit_flips[rows]
-                models.append(second)
-        copula = FactorialCopula(part, tuple(models))
+    within = _refine_blocks(components, part, copula, flips, menu)
+    # only the refined pairs are refitted; one stands only where its refit
+    # is a tail-asymmetric family, otherwise it keeps the rotation-phase
+    # coordinates and fit
+    models = list(copula.blocks)
+    for k, block in enumerate(part.blocks):
+        rows = list(block)
+        if len(rows) != 2 or np.array_equal(within[np.ix_(rows, rows)], np.eye(2)):
+            continue
+        pair = pseudo_observations(SignalMatrix((within @ components.values)[rows]))
+        pattern, model = _fit_block(pair, block, menu)
+        if model.family in _TAIL_ASYMMETRIC:
+            flips[rows] = pattern
+            models[k] = model
+        else:
+            within[np.ix_(rows, rows)] = np.eye(2)
+    copula = FactorialCopula(part, tuple(models))
     within = within * np.where(flips, -1.0, 1.0)[:, None]
     sources = SignalMatrix(within @ components.values)
 
     separation = SeparationModel(mean, whitening, rotation, within)
+    # the information and the copula entropy share one ranking of the
+    # sources; the likelihood ranks separation.separate(x), whose values
+    # differ from these in the last bits
     pseudo = pseudo_observations(sources)
-    info = mutual_information(sources)
+    info = mutual_information(pseudo)
     entropy = copula_entropy(copula, pseudo)
     margins = MarginalModel.fit(sources)
     likelihood = average_log_likelihood(x, separation, copula, margins)

@@ -16,6 +16,7 @@ from copsep import (
     normal_scores_correlation,
     stationarity_residual,
 )
+from copsep.copulas import _fit_archimedean
 from copsep.exceptions import FamilyDomainError
 from copsep.margins import PseudoObservations
 
@@ -362,6 +363,33 @@ class TestFitCopula:
         flipped = PseudoObservations(np.vstack([u.values[0], 1.0 - u.values[1]]))
         with pytest.raises(FamilyDomainError, match="positive dependence"):
             fit_copula(flipped, "clayton")
+
+    def test_gumbel_rejects_negative_dependence(self):
+        # gumbel's tau = 1 - 1/theta is never negative
+        u = GumbelCopula(2.0).sample(1000, seed=4)
+        flipped = PseudoObservations(np.vstack([u.values[0], 1.0 - u.values[1]]))
+        with pytest.raises(FamilyDomainError, match="positive dependence"):
+            fit_copula(flipped, "gumbel")
+
+    @pytest.mark.parametrize("tau", [0.01, 0.95])
+    def test_optimum_beyond_the_bracket_widens_it(self, tau):
+        # the first bracket is [0.005, 0.081] at tau = 0.01 and [9.5, 152]
+        # at tau = 0.95, both far from theta = 2
+        u = ClaytonCopula(2.0, 2).sample(5000, seed=11)
+        model = _fit_archimedean(u, "clayton", tau=tau)
+        assert model.theta == pytest.approx(fit_copula(u, "clayton").theta, abs=1e-5)
+        assert 1.8 <= model.theta <= 2.2
+
+    def test_optimum_beyond_every_widening_raises(self):
+        u = ClaytonCopula(2.0, 2).sample(2000, seed=12)
+        with pytest.raises(FamilyDomainError, match="bracket edge"):
+            _fit_archimedean(u, "clayton", tau=1e-6)
+
+    def test_gumbel_domain_bound_is_not_widened(self):
+        # on negatively dependent data gumbel's optimum is the domain edge theta = 1
+        u = GaussianCopula(corr2(-0.3)).sample(5000, seed=13)
+        model = _fit_archimedean(u, "gumbel", tau=0.01)
+        assert 1.0 <= model.theta < 1.0 + 1e-5
 
     def test_gumbel_rejects_higher_dimensions(self):
         u = ClaytonCopula(1.0, 3).sample(1000, seed=5)

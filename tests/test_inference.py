@@ -1,5 +1,11 @@
+from functools import lru_cache
+from itertools import product as cartesian
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from copsep import (
@@ -7,6 +13,7 @@ from copsep import (
     ClaytonCopula,
     FactorialCopula,
     GaussianCopula,
+    GumbelCopula,
     ProductCopula,
     SeparationModel,
     SignalMatrix,
@@ -24,9 +31,10 @@ from copsep import (
     pseudo_observations,
     select_family,
 )
-from copsep.exceptions import BlockFitError
-from copsep.inference import FitReport
-from copsep.margins import MarginalModel, margin_ppf
+from copsep import copulas, inference
+from copsep.exceptions import BlockFitError, FamilyDomainError
+from copsep.inference import DEFAULT_FAMILIES, FitReport, _best_orientation, _tau_matrix
+from copsep.margins import MarginalModel, PseudoObservations, margin_ppf
 
 
 def corr2(r):
@@ -54,6 +62,42 @@ def well_conditioned_mixing(rng, n):
 
 def identity_separation(n):
     return SeparationModel(np.zeros(n), np.eye(n), np.eye(n))
+
+
+def block_sources(seed, t):
+    """Laplace sources: a clayton(2) triple, a gumbel(2) pair and an
+    independent sixth channel."""
+    partition = BlockPartition(((0, 1, 2), (3, 4), (5,)), 6)
+    models = (ClaytonCopula(2.0, 3), GumbelCopula(2.0), ProductCopula(1))
+    u = FactorialCopula(partition, models).sample(t, seed=seed)
+    return SignalMatrix(margin_ppf("laplace", (0.0, 1.0), u.values))
+
+
+def brute_force_orientation(pseudo, menu):
+    """Reference orientation search: flip, fit every family, score, pick.
+
+    Product and gaussian scores agree across flips only up to rounding,
+    so scores are compared at 1e-12; ties prefer fewer flips, then the
+    earlier pattern, then the earlier family.
+    """
+    d, t = pseudo.n_channels, pseudo.n_samples
+    best = None
+    for idx, pattern in enumerate(cartesian((False, True), repeat=d)):
+        values = pseudo.values.copy()
+        for row in np.flatnonzero(pattern):
+            values[row] = 1.0 - values[row]
+        flipped = PseudoObservations(values)
+        for pos, family in enumerate(menu):
+            try:
+                model = fit_copula(flipped, family)
+            except FamilyDomainError:
+                continue
+            k = {"product": 0, "gaussian": d * (d - 1) // 2}.get(family, 1)
+            score = np.mean(model.log_density(values)) - k * np.log(t) / (2 * t)
+            key = (round(score, 12), -sum(pattern), -idx, -pos)
+            if best is None or key > best[0]:
+                best = (key, pattern, model)
+    return best[1], best[2]
 
 
 class TestDetectPartition:
@@ -138,6 +182,11 @@ class TestSelectFamily:
         u = ProductCopula(2).sample(500, seed=3)
         with pytest.raises(ValueError, match="menu"):
             select_family(u, ())
+
+    def test_gumbel_skipped_on_negative_dependence(self):
+        u = GumbelCopula(2.0).sample(2000, seed=5)
+        flipped = PseudoObservations(np.vstack([u.values[0], 1.0 - u.values[1]]))
+        assert select_family(flipped, ("product", "gumbel")) == "product"
 
 
 class TestKlDecomposition:
@@ -272,6 +321,65 @@ class TestFitDependence:
         with pytest.raises(BlockFitError) as exc_info:
             fit_dependence(s, families=("gumbel",), partition=forced)
         assert exc_info.value.block == (0, 1, 2)
+
+    def test_kendall_tau_once_per_pair_and_block(self, monkeypatch):
+        # detection takes the plain and the energy tau of every pair; each
+        # dependent block then takes its own pairs once, whatever the flips
+        calls = []
+        for module in (inference, copulas):
+            original = module.kendall_tau
+
+            def counted(x, y, original=original):
+                calls.append(1)
+                return original(x, y)
+
+            monkeypatch.setattr(module, "kendall_tau", counted)
+        part, copula, _ = fit_dependence(block_sources(1, 1500))
+        assert part.blocks == ((0, 1, 2), (3, 4), (5,))
+        assert [m.family for m in copula.blocks] == ["clayton", "gumbel", "product"]
+        n = part.n_channels
+        assert len(calls) == 2 * comb(n, 2) + sum(comb(len(b), 2) for b in part.blocks)
+
+    @pytest.mark.parametrize("case", ["clayton triple", "survival clayton", "negated gumbel", "negative gaussian"])
+    def test_orientation_matches_brute_force(self, case):
+        if case == "clayton triple":
+            values = ClaytonCopula(2.0, 3).sample(2000, seed=31).values
+        elif case == "survival clayton":
+            values = 1.0 - ClaytonCopula(2.0, 2).sample(2000, seed=32).values
+        elif case == "negated gumbel":
+            values = GumbelCopula(2.0).sample(2000, seed=33).values * np.array([[1.0], [-1.0]])
+        else:
+            values = GaussianCopula(corr2(-0.6)).sample(2000, seed=34).values
+        pseudo = pseudo_observations(SignalMatrix(values))
+        pattern, model = _best_orientation(pseudo, _tau_matrix(pseudo.values), DEFAULT_FAMILIES)
+        ref_pattern, ref_model = brute_force_orientation(pseudo, DEFAULT_FAMILIES)
+        assert tuple(pattern) == tuple(ref_pattern)
+        assert model.family == ref_model.family
+        if model.family == "gaussian":
+            assert np.array_equal(model.correlation, ref_model.correlation)
+        else:
+            assert model.theta == ref_model.theta
+
+
+@lru_cache(maxsize=None)
+def _dependent_blocks():
+    """Clayton triple and gumbel pair, and their dependence fit."""
+    s = SignalMatrix(block_sources(2, 1000).values[:5])
+    return s, fit_dependence(s)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(mask=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_fit_dependence_equivariant_under_negation(mask):
+    # negating components changes only which rows the orientation flips
+    s, (part, copula, flips) = _dependent_blocks()
+    mask = np.array(mask)
+    negated = SignalMatrix(s.values * np.where(mask, -1.0, 1.0)[:, None])
+    part_n, copula_n, flips_n = fit_dependence(negated)
+    assert part_n.blocks == part.blocks
+    assert [m.family for m in copula_n.blocks] == [m.family for m in copula.blocks]
+    assert [m.theta for m in copula_n.blocks] == [m.theta for m in copula.blocks]
+    assert np.array_equal(flips_n, flips ^ mask)
 
 
 class TestCcaFit:
