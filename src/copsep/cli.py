@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +40,10 @@ MARGIN_DEFAULTS = {"uniform": (0.0, 1.0), "gaussian": (0.0, 1.0), "laplace": (0.
 # ---------------------------------------------------------------------------
 # CSV input/output
 
+# Rows per chunk of the CSV reader and writer.
+_CSV_CHUNK_ROWS = 2048
+
+
 def _parse_cell(token: str):
     try:
         value = float(token)
@@ -47,50 +52,69 @@ def _parse_cell(token: str):
     return value if math.isfinite(value) else None
 
 
+def _raise_first_bad_row(path: str, lines, first: int, width: int):
+    """Raise the error of the first bad row among ``lines``, which start at
+    line ``first`` (0-based) of the file: a field count other than
+    ``width``, or a non-numeric or non-finite cell."""
+    for lineno, line in enumerate(lines, first):
+        tokens = line.split(",")
+        if len(tokens) != width:
+            raise ValueError(
+                f"{path}: row {lineno + 1} has {len(tokens)} fields, expected {width}"
+            )
+        for col, token in enumerate(tokens):
+            if _parse_cell(token) is None:
+                raise ValueError(
+                    f"{path}: row {lineno + 1}, column {col + 1}: non-numeric value {token!r}"
+                )
+
+
 def read_signal_csv(path: str) -> SignalMatrix:
     """Read a samples-by-channels CSV into a SignalMatrix.
 
     A single header row is skipped when any first-row field is
     non-numeric. Ragged rows and non-numeric cells are errors naming the
     offending row and column (1-based, counting the header).
+
+    Rows are parsed a chunk at a time; a chunk that fails is scanned again
+    row by row, so the error is the first one in file order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
     start = 1 if any(_parse_cell(tok) is None for tok in lines[0].split(",")) else 0
-    data = []
-    width = None
-    for lineno in range(start, len(lines)):
-        tokens = lines[lineno].split(",")
-        if width is None:
-            width = len(tokens)
-        if len(tokens) != width:
-            raise ValueError(
-                f"{path}: row {lineno + 1} has {len(tokens)} fields, expected {width}"
-            )
-        row = []
-        for col, token in enumerate(tokens):
-            value = _parse_cell(token)
-            if value is None:
-                raise ValueError(
-                    f"{path}: row {lineno + 1}, column {col + 1}: non-numeric value {token!r}"
-                )
-            row.append(value)
-        data.append(row)
-    if not data:
+    if start == len(lines):
         raise ValueError(f"{path}: no data rows")
-    return SignalMatrix(np.asarray(data, dtype=float).T)
+    width = lines[start].count(",") + 1
+    data = np.empty((len(lines) - start, width))
+    for lo in range(start, len(lines), _CSV_CHUNK_ROWS):
+        chunk = lines[lo:lo + _CSV_CHUNK_ROWS]
+        block = None
+        if set(map(str.count, chunk, repeat(","))) == {width - 1}:
+            try:
+                block = np.fromiter(map(float, ",".join(chunk).split(",")), float, len(chunk) * width)
+            except ValueError:
+                pass
+        if block is None or not np.isfinite(block).all():
+            _raise_first_bad_row(path, chunk, lo, width)
+        data[lo - start:lo - start + len(chunk)] = block.reshape(len(chunk), width)
+    return SignalMatrix(data.T)
 
 
 def write_signal_csv(signals: SignalMatrix, path: str, header: bool = False):
     """Write a SignalMatrix as a samples-by-channels CSV, 17 significant
-    digits (lossless round trip), LF line endings, no header by default."""
+    digits (lossless round trip), LF line endings, no header by default.
+
+    Each chunk of rows is formatted by one ``%``-format call."""
+    rows = signals.values.T
+    row_format = ",".join(["%.17g"] * signals.n_channels) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header:
             fh.write(",".join(f"c{i + 1}" for i in range(signals.n_channels)) + "\n")
-        for t in range(signals.n_samples):
-            fh.write(",".join(f"{v:.17g}" for v in signals.values[:, t]) + "\n")
+        for lo in range(0, signals.n_samples, _CSV_CHUNK_ROWS):
+            block = rows[lo:lo + _CSV_CHUNK_ROWS]
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def _read_matrix(path: str, n: int) -> np.ndarray:

@@ -165,6 +165,21 @@ def _tau_matrix(values: np.ndarray) -> np.ndarray:
     return tau
 
 
+def _detect_partition(pseudo: PseudoObservations, tau_threshold: float):
+    """``detect_partition`` and the plain Kendall-tau matrix it grouped by,
+    which ``fit_dependence`` reuses for the blocks."""
+    if pseudo.n_samples < 100:
+        raise ValueError(f"need at least 100 samples, got {pseudo.n_samples}")
+    if not 0.0 < tau_threshold < 1.0:
+        raise ValueError(f"tau threshold must lie inside (0, 1), got {tau_threshold}")
+    u = pseudo.values
+    tau = _tau_matrix(u)
+    edges = (np.abs(tau) > tau_threshold) | (np.abs(_tau_matrix(np.abs(u - 0.5))) > tau_threshold)
+    n_blocks, labels = connected_components(edges, directed=False)
+    partition = BlockPartition(tuple(np.flatnonzero(labels == k) for k in range(n_blocks)), pseudo.n_channels)
+    return partition, tau
+
+
 def detect_partition(pseudo: PseudoObservations, tau_threshold: float) -> BlockPartition:
     """Group channels into blocks: connected components of the graph with
     an edge wherever |kendall tau| or the energy rank correlation
@@ -175,16 +190,7 @@ def detect_partition(pseudo: PseudoObservations, tau_threshold: float) -> BlockP
     rank correlation, but its components still grow large together.
     Both terms use the pseudo-observations only.
     """
-    if pseudo.n_samples < 100:
-        raise ValueError(f"need at least 100 samples, got {pseudo.n_samples}")
-    if not 0.0 < tau_threshold < 1.0:
-        raise ValueError(f"tau threshold must lie inside (0, 1), got {tau_threshold}")
-    u = pseudo.values
-    edges = (np.abs(_tau_matrix(u)) > tau_threshold) | (
-        np.abs(_tau_matrix(np.abs(u - 0.5))) > tau_threshold
-    )
-    n_blocks, labels = connected_components(edges, directed=False)
-    return BlockPartition(tuple(np.flatnonzero(labels == k) for k in range(n_blocks)), pseudo.n_channels)
+    return _detect_partition(pseudo, tau_threshold)[0]
 
 
 def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu):
@@ -246,11 +252,12 @@ def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu):
     return best[1], best[2]
 
 
-def _fit_block(pseudo: PseudoObservations, block, menu):
+def _fit_block(pseudo: PseudoObservations, block, menu, tau=None):
     """Orientation and copula of one block (see ``_best_orientation``),
-    from its own tau matrix; failures name the block."""
+    from its tau matrix, computed here unless given; failures name the
+    block."""
     try:
-        return _best_orientation(pseudo, _tau_matrix(pseudo.values), menu)
+        return _best_orientation(pseudo, _tau_matrix(pseudo.values) if tau is None else tau, menu)
     except CopsepError as err:
         raise BlockFitError(f"block {block}: {err}", block=block) from err
 
@@ -264,10 +271,11 @@ def fit_dependence(
     """Phase 2: partition the components, then orient and fit one copula
     per non-singleton block.
 
-    The sources are ranked once. Each block gets its Kendall-tau matrix
-    once, and one orientation search that returns the fitted copula
-    with the winning sign pattern (see ``_best_orientation``), so no
-    block is refitted after it is oriented.
+    The sources are ranked once. Each block takes its Kendall-tau matrix
+    from the one that detected the partition (an explicit partition
+    computes each block's own), and gets one orientation search that
+    returns the fitted copula with the winning sign pattern (see
+    ``_best_orientation``), so no block is refitted after it is oriented.
 
     Returns
     -------
@@ -278,8 +286,9 @@ def fit_dependence(
     menu = _check_menu(families)
     pseudo = pseudo_observations(sources)
     n = sources.n_channels
+    tau = None
     if partition is None:
-        partition = detect_partition(pseudo, tau_threshold)
+        partition, tau = _detect_partition(pseudo, tau_threshold)
     elif partition.n_channels != n:
         raise ValueError(f"partition covers {partition.n_channels} channels, data has {n}")
 
@@ -289,7 +298,8 @@ def fit_dependence(
         if len(block) == 1:
             models.append(ProductCopula(1))
             continue
-        pattern, model = _fit_block(pseudo.restrict(block), block, menu)
+        block_tau = None if tau is None else tau[np.ix_(block, block)]
+        pattern, model = _fit_block(pseudo.restrict(block), block, menu, block_tau)
         flips[list(block)] = pattern
         models.append(model)
     return partition, FactorialCopula(partition, tuple(models)), flips
@@ -318,9 +328,13 @@ def average_log_likelihood(
     if margins.n_channels != x.n_channels or model.dim != x.n_channels:
         raise ValueError("margins, copula, and data disagree on the channel count")
     sources = separation.separate(x)
-    marginal_term = margins.log_density(sources.values).sum(axis=0)
-    copula_term = model.log_density(pseudo_observations(sources).values)
-    return float(np.mean(marginal_term + copula_term))
+    return _mean_log_likelihood(margins.log_density(sources.values), model, pseudo_observations(sources))
+
+
+def _mean_log_likelihood(margin_log_density: np.ndarray, model: Copula, pseudo: PseudoObservations) -> float:
+    """Mean over samples of the margins' summed log densities plus the
+    copula's log density at the sources' pseudo-observations."""
+    return float(np.mean(margin_log_density.sum(axis=0) + model.log_density(pseudo.values)))
 
 
 def _unit_rows(angles) -> np.ndarray:
@@ -538,24 +552,24 @@ def cca_fit(
     sources = SignalMatrix(within @ components.values)
 
     separation = SeparationModel(mean, whitening, rotation, within)
-    # the information and the copula entropy share one ranking of the
-    # sources; the likelihood ranks separation.separate(x), whose values
-    # differ from these in the last bits
+    # the information, the copula entropy and the likelihood share one
+    # ranking of the sources, and the likelihood evaluates the margins on
+    # the sources they were fitted on: separation.separate(x) differs from
+    # them in the last bits, enough to put extremes outside the histograms
     pseudo = pseudo_observations(sources)
     info = mutual_information(pseudo)
     entropy = copula_entropy(copula, pseudo)
     margins = MarginalModel.fit(sources)
-    likelihood = average_log_likelihood(x, separation, copula, margins)
-    floor_hit = margins.density_floor_hits(sources.values) > 0
+    margin_log_density, floor_hits = margins._log_density_and_floor_hits(sources.values)
     report = FitReport(
         mutual_information=info,
         copula_entropy=entropy,
         divergence=info + entropy,
-        log_likelihood=likelihood,
+        log_likelihood=_mean_log_likelihood(margin_log_density, copula, pseudo),
         partition=part,
         copula=copula,
         ica_iterations=iterations,
         seed=seed,
-        density_floor_hit=floor_hit,
+        density_floor_hit=floor_hits > 0,
     )
     return separation, report

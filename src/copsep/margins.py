@@ -139,21 +139,23 @@ class MarginalModel:
         dens[floored] = DENSITY_FLOOR
         return dens, int(floored.sum())
 
+    def _log_density_and_floor_hits(self, values: np.ndarray):
+        """``log_density`` and ``density_floor_hits`` from one pass."""
+        out = np.empty_like(np.asarray(values, dtype=float))
+        hits = 0
+        for i in range(self.n_channels):
+            dens, h = self._channel_density(i, np.asarray(values[i], dtype=float))
+            out[i] = np.log(dens)
+            hits += h
+        return out, hits
+
     def log_density(self, values: np.ndarray) -> np.ndarray:
         """Log histogram density per channel, floored at 1e-12."""
-        out = np.empty_like(np.asarray(values, dtype=float))
-        for i in range(self.n_channels):
-            dens, _ = self._channel_density(i, np.asarray(values[i], dtype=float))
-            out[i] = np.log(dens)
-        return out
+        return self._log_density_and_floor_hits(values)[0]
 
     def density_floor_hits(self, values: np.ndarray) -> int:
         """How many evaluation points fell below the density floor."""
-        hits = 0
-        for i in range(self.n_channels):
-            _, h = self._channel_density(i, np.asarray(values[i], dtype=float))
-            hits += h
-        return hits
+        return self._log_density_and_floor_hits(values)[1]
 
 
 def marginal_quantile(model: MarginalModel, channel: int, q: float) -> float:

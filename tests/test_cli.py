@@ -1,11 +1,16 @@
 import json
+import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from copsep import SignalMatrix
+from copsep import SignalMatrix, cli
 from copsep.cli import main, parse_partition, read_signal_csv, write_signal_csv
 
 
@@ -73,6 +78,101 @@ class TestCsvIo:
         path = tmp_path / "x.csv"
         path.write_text("1,2\n3,nan\n")
         with pytest.raises(ValueError, match="row 2, column 2"):
+            read_signal_csv(path)
+
+
+def per_cell_csv(values: np.ndarray, header: bool) -> bytes:
+    """The CSV bytes of a samples-by-channels file written one cell at a time."""
+    lines = [",".join(f"c{i + 1}" for i in range(values.shape[0]))] if header else []
+    lines += [",".join(f"{v:.17g}" for v in values[:, t]) for t in range(values.shape[1])]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+# finite doubles of every magnitude, with the edge cases named explicitly
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308)
+finite_matrices = st.integers(1, 4).flatmap(
+    lambda n: arrays(
+        np.float64,
+        st.tuples(st.just(n), st.integers(1, 12)),
+        elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES),
+    )
+)
+
+
+def write_rows(path, rows):
+    path.write_text("".join(row + "\n" for row in rows))
+
+
+class TestCsvChunks:
+    """Reading and writing work on chunks of rows; the bytes, the values and
+    the first error in file order are those of a per-cell reader and writer."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(values=finite_matrices, header=st.booleans(), chunk_rows=st.sampled_from([1, 2, 5, 2048]))
+    @example(values=np.array([EDGE_VALUES]), header=False, chunk_rows=3)
+    @example(values=np.array([EDGE_VALUES]).T, header=True, chunk_rows=3)
+    def test_bytes_match_per_cell_writer_and_round_trip(self, tmp_path_factory, values, header, chunk_rows):
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+            write_signal_csv(SignalMatrix(values), path, header=header)
+            back = read_signal_csv(path).values
+        assert path.read_bytes() == per_cell_csv(values, header)
+        assert back.shape == values.shape
+        assert back.tobytes() == values.tobytes()  # bit-exact, -0.0 included
+
+    @pytest.fixture
+    def rows(self):
+        rng = np.random.default_rng(7)
+        return [",".join(f"{v:.17g}" for v in row) for row in rng.standard_normal((6000, 3))]
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("ragged", [["1,2"], ["1,2,3,4"], ["1,2,3,4", "5,6"]], ids=["short", "long", "balanced"])
+    def test_ragged_row_past_first_chunk(self, tmp_path, rows, header, ragged):
+        # "balanced": the chunk still holds 3 fields per row on average
+        rows[4999:4999 + len(ragged)] = ragged
+        path = tmp_path / "x.csv"
+        write_rows(path, ["a,b,c"] * header + rows)
+        fields = ragged[0].count(",") + 1
+        message = f"{path}: row {5000 + header} has {fields} fields, expected 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_signal_csv(path)
+
+    @pytest.mark.parametrize("cell", ["oops", "nan", "-inf", "1e999", ""])
+    def test_bad_cell_past_first_chunk(self, tmp_path, rows, cell):
+        rows[4999] = f"1,{cell},3"
+        path = tmp_path / "x.csv"
+        write_rows(path, rows)
+        message = f"{path}: row 5000, column 2: non-numeric value {cell!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_signal_csv(path)
+
+    def test_bad_cell_before_ragged_row_in_one_chunk(self, tmp_path, rows):
+        rows[4999] = "1,2,nan"
+        rows[5000] = "1,2,3,4"
+        path = tmp_path / "x.csv"
+        write_rows(path, rows)
+        message = f"{path}: row 5000, column 3: non-numeric value 'nan'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_signal_csv(path)
+
+    def test_ragged_row_before_bad_cell_in_one_chunk(self, tmp_path, rows):
+        rows[4999] = "1,2,3,4"
+        rows[5000] = "1,2,nan"
+        path = tmp_path / "x.csv"
+        write_rows(path, rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 5000 has 4 fields, expected 3$"):
+            read_signal_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty file$"):
+            read_signal_csv(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("c1,c2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data rows$"):
             read_signal_csv(path)
 
 

@@ -31,7 +31,7 @@ from copsep import (
     pseudo_observations,
     select_family,
 )
-from copsep import copulas, inference
+from copsep import cli, copulas, inference
 from copsep.exceptions import BlockFitError, FamilyDomainError
 from copsep.inference import DEFAULT_FAMILIES, FitReport, _best_orientation, _tau_matrix
 from copsep.margins import MarginalModel, PseudoObservations, margin_ppf
@@ -322,9 +322,8 @@ class TestFitDependence:
             fit_dependence(s, families=("gumbel",), partition=forced)
         assert exc_info.value.block == (0, 1, 2)
 
-    def test_kendall_tau_once_per_pair_and_block(self, monkeypatch):
-        # detection takes the plain and the energy tau of every pair; each
-        # dependent block then takes its own pairs once, whatever the flips
+    @staticmethod
+    def _count_kendall_tau(monkeypatch):
         calls = []
         for module in (inference, copulas):
             original = module.kendall_tau
@@ -334,11 +333,26 @@ class TestFitDependence:
                 return original(x, y)
 
             monkeypatch.setattr(module, "kendall_tau", counted)
+        return calls
+
+    def test_kendall_tau_once_per_pair_and_block(self, monkeypatch):
+        # detection takes the plain and the energy tau of every pair; the
+        # dependent blocks reuse the plain ones, whatever the flips
+        calls = self._count_kendall_tau(monkeypatch)
         part, copula, _ = fit_dependence(block_sources(1, 1500))
         assert part.blocks == ((0, 1, 2), (3, 4), (5,))
         assert [m.family for m in copula.blocks] == ["clayton", "gumbel", "product"]
-        n = part.n_channels
-        assert len(calls) == 2 * comb(n, 2) + sum(comb(len(b), 2) for b in part.blocks)
+        assert len(calls) == 2 * comb(part.n_channels, 2)
+
+    def test_explicit_partition_takes_each_block_tau_once(self, monkeypatch):
+        sources = block_sources(1, 1500)
+        auto = fit_dependence(sources)
+        calls = self._count_kendall_tau(monkeypatch)
+        part, copula, flips = fit_dependence(sources, partition=BlockPartition(((0, 1, 2), (3, 4), (5,)), 6))
+        assert len(calls) == sum(comb(len(b), 2) for b in part.blocks)
+        # the block taus from detection are the ones a block computes itself
+        assert [repr(m.theta) for m in copula.blocks[:2]] == [repr(m.theta) for m in auto[1].blocks[:2]]
+        assert np.array_equal(flips, auto[2])
 
     @pytest.mark.parametrize("case", ["clayton triple", "survival clayton", "negated gumbel", "negative gaussian"])
     def test_orientation_matches_brute_force(self, case):
@@ -420,6 +434,29 @@ class TestCcaFit:
         )
         assert pair_block.family == "clayton"
         assert 1.6 <= pair_block.theta <= 2.4
+
+    def test_log_likelihood_evaluates_margins_on_fitted_sources(self, tmp_path):
+        # the inputs of `copsep synth ... --seed 2` as the CLI benchmark
+        # loop runs it; separation.separate(x) puts a few extremes a few
+        # ulps outside the histograms fitted on cca_fit's own sources
+        data = tmp_path / "data.csv"
+        assert cli.main([
+            "synth", "--channels", "3", "--samples", "20000", "--partition", "1,2|3",
+            "--copula", "gumbel", "--theta", "2", "--margins", "laplace", "--mix", "random",
+            "--seed", "2", "--out", str(data), "--truth-out", str(tmp_path / "truth.json"),
+        ]) == 0
+        x = cli.read_signal_csv(data)
+        separation, report = cca_fit(x, seed=2)
+        z, _, _ = center_and_whiten(x)
+        sources = SignalMatrix(separation.within @ (separation.rotation @ z.values))
+        margins = MarginalModel.fit(sources)
+        assert margins.density_floor_hits(sources.values) == 0
+        assert not report.density_floor_hit
+        expected = np.mean(
+            margins.log_density(sources.values).sum(axis=0)
+            + report.copula.log_density(pseudo_observations(sources).values)
+        )
+        assert report.log_likelihood == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_report_identity_and_determinism(self):
         rng = np.random.default_rng(22)
