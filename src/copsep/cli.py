@@ -15,14 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .copulas import (
-    FAMILY_NAMES,
-    ClaytonCopula,
-    FactorialCopula,
-    GaussianCopula,
-    GumbelCopula,
-    ProductCopula,
-)
+from .copulas import _THETA_FAMILIES, FAMILY_NAMES, FactorialCopula, GaussianCopula, ProductCopula
 from .exceptions import CopsepError, NonConvergenceError
 from .inference import DEFAULT_FAMILIES, cca_fit
 from .margins import MARGIN_NAMES, margin_ppf
@@ -167,18 +160,14 @@ def copula_to_json(model, channels: tuple) -> dict:
         ]
         return {"family": "factorial", "params": {"blocks": blocks}}
     if isinstance(model, ProductCopula):
-        return {"family": "product", "params": {}, "channels": one_based}
-    if isinstance(model, GaussianCopula):
-        return {
-            "family": "gaussian",
-            "params": {"correlation": model.correlation.tolist()},
-            "channels": one_based,
-        }
-    if isinstance(model, ClaytonCopula):
-        return {"family": "clayton", "params": {"theta": float(model.theta)}, "channels": one_based}
-    if isinstance(model, GumbelCopula):
-        return {"family": "gumbel", "params": {"theta": float(model.theta)}, "channels": one_based}
-    raise ValueError(f"cannot serialize copula {model!r}")
+        params = {}
+    elif isinstance(model, GaussianCopula):
+        params = {"correlation": model.correlation.tolist()}
+    elif type(model) in _THETA_FAMILIES.values():
+        params = {"theta": float(model.theta)}
+    else:
+        raise ValueError(f"cannot serialize copula {model!r}")
+    return {"family": model.family, "params": params, "channels": one_based}
 
 
 def _equicorrelation(d: int, r: float) -> np.ndarray:
@@ -189,23 +178,15 @@ def _equicorrelation(d: int, r: float) -> np.ndarray:
     return np.full((d, d), r) + (1.0 - r) * np.eye(d)
 
 
-def _build_block_model(family: str, size: int, theta: float | None, r: float | None):
+def _build_block_model(family: str, size: int, thetas, rhos):
+    """The copula of one dependent block; a parametric family takes the
+    next value of the iterator ``thetas`` or ``rhos``."""
     if family == "product":
         return ProductCopula(size)
     if family == "gaussian":
-        if r is None:
-            raise ValueError("--rho is required for gaussian blocks")
-        return GaussianCopula(_equicorrelation(size, r))
-    if family == "clayton":
-        if theta is None:
-            raise ValueError("--theta is required for clayton blocks")
-        return ClaytonCopula(theta, size)
-    if family == "gumbel":
-        if theta is None:
-            raise ValueError("--theta is required for gumbel blocks")
-        if size != 2:
-            raise ValueError(f"gumbel blocks must have exactly 2 channels, got {size}")
-        return GumbelCopula(theta)
+        return GaussianCopula(_equicorrelation(size, next(rhos)))
+    if family in _THETA_FAMILIES:
+        return _THETA_FAMILIES[family](next(thetas), size)
     raise ValueError(f"unknown copula family '{family}'; expected one of {FAMILY_NAMES}")
 
 
@@ -228,21 +209,17 @@ def cmd_synth(args) -> int:
     dependent = [b for b in partition.blocks if len(b) > 1]
     families = _split_per_block(args.copula, len(dependent), "copula") if dependent else []
 
-    theta_blocks = [b for b, f in zip(dependent, families) if f in ("clayton", "gumbel")]
-    rho_blocks = [b for b, f in zip(dependent, families) if f == "gaussian"]
-    thetas = [float(v) for v in _split_per_block(args.theta, len(theta_blocks), "theta")]
-    rhos = [float(v) for v in _split_per_block(args.rho, len(rho_blocks), "rho")]
+    n_thetas = sum(f in _THETA_FAMILIES for f in families)
+    thetas = iter([float(v) for v in _split_per_block(args.theta, n_thetas, "theta")])
+    rhos = iter([float(v) for v in _split_per_block(args.rho, families.count("gaussian"), "rho")])
 
     models = []
-    th_iter, rho_iter = iter(thetas), iter(rhos)
     for block in partition.blocks:
         if len(block) == 1:
             models.append(ProductCopula(1))
             continue
         family = families[dependent.index(block)]
-        theta = next(th_iter) if family in ("clayton", "gumbel") else None
-        r = next(rho_iter) if family == "gaussian" else None
-        models.append(_build_block_model(family, len(block), theta, r))
+        models.append(_build_block_model(family, len(block), thetas, rhos))
     copula = FactorialCopula(partition, tuple(models))
 
     margin_names = _split_per_block(args.margins, n, "margins")
@@ -320,7 +297,7 @@ def _block_error(truth_block: dict, estimate_block: dict):
     family = truth_block["family"]
     if family != estimate_block["family"]:
         return None
-    if family in ("clayton", "gumbel"):
+    if family in _THETA_FAMILIES:
         return abs(truth_block["params"]["theta"] - estimate_block["params"]["theta"])
     if family == "gaussian":
         t = np.abs(np.asarray(truth_block["params"]["correlation"], dtype=float))
@@ -331,6 +308,15 @@ def _block_error(truth_block: dict, estimate_block: dict):
         # orientation of components is sign-ambiguous, compare magnitudes
         return float(np.abs(np.sort(t[off]) - np.sort(e[off])).max())
     return 0.0
+
+
+def _json_partition(blocks, n: int, where: str) -> BlockPartition:
+    """The 0-based partition given by 1-based JSON channel lists, which must
+    cover channels 1..n once."""
+    try:
+        return BlockPartition(tuple(tuple(int(i) - 1 for i in b) for b in blocks), n)
+    except ValueError as err:
+        raise ValueError(f"{where} {blocks} does not partition channels 1..{n} (0-based: {err})") from None
 
 
 def cmd_evaluate(args) -> int:
@@ -350,16 +336,18 @@ def cmd_evaluate(args) -> int:
     if data.n_channels != n:
         raise ValueError(f"{args.data}: expected {n} channels, got {data.n_channels}")
 
+    for path, doc in ((args.estimate, estimate), (args.truth, truth)):
+        _json_partition([b["channels"] for b in doc["copula"]["params"]["blocks"]], n, f"{path}: copula channels")
+    estimate_partition = _json_partition(estimate["partition"], n, f"{args.estimate}: partition")
+    truth_partition = _json_partition(truth["partition"], n, f"{args.truth}: partition")
+
     gain = demixing @ mixing
     perm = align_permutation(gain)
 
     # map the estimate's channel labels onto the truth's through the
     # recovered-component assignment, then compare block structures
-    mapped_blocks = sorted(
-        tuple(sorted(int(perm[i - 1]) + 1 for i in block)) for block in estimate["partition"]
-    )
-    truth_blocks = sorted(tuple(sorted(block)) for block in truth["partition"])
-    partition_match = mapped_blocks == truth_blocks
+    mapped = BlockPartition(tuple(perm[list(block)] for block in estimate_partition.blocks), n)
+    partition_match = mapped == truth_partition
 
     est_by_channels = {}
     for block in estimate["copula"]["params"]["blocks"]:

@@ -46,7 +46,9 @@ class Copula:
     """Shared evaluation plumbing; concrete families implement the
     underscore hooks on strictly interior (d, m) point arrays."""
 
-    def _points(self, u):
+    def _evaluate(self, hook, u):
+        """``hook`` at the points ``u``: one point as a float, or a
+        (d, m) array of them as an array of m values."""
         pts = np.asarray(u, dtype=float)
         single = pts.ndim == 1
         if single:
@@ -57,22 +59,17 @@ class Copula:
             raise ValueError("no evaluation points given")
         if pts.min() <= 0.0 or pts.max() >= 1.0:
             raise ValueError("points must lie strictly inside the open unit cube")
-        return pts, single
+        out = hook(pts)
+        return float(out[0]) if single else out
 
     def cdf(self, u):
-        pts, single = self._points(u)
-        out = self._cdf(pts)
-        return float(out[0]) if single else out
+        return self._evaluate(self._cdf, u)
 
     def density(self, u):
-        pts, single = self._points(u)
-        out = self._density(pts)
-        return float(out[0]) if single else out
+        return self._evaluate(self._density, u)
 
     def log_density(self, u):
-        pts, single = self._points(u)
-        out = self._log_density(pts)
-        return float(out[0]) if single else out
+        return self._evaluate(self._log_density, u)
 
     def _density(self, pts):
         return np.exp(self._log_density(pts))
@@ -101,9 +98,6 @@ class ProductCopula(Copula):
 
     def _cdf(self, pts):
         return np.prod(pts, axis=0)
-
-    def _density(self, pts):
-        return np.ones(pts.shape[1])
 
     def _log_density(self, pts):
         return np.zeros(pts.shape[1])
@@ -174,6 +168,8 @@ class ClaytonCopula(Copula):
     theta: float
     dim: int = 2
 
+    _theta_floor = 0.0
+
     def __post_init__(self):
         if not self.theta > 0.0:
             raise ValueError(f"clayton needs theta > 0, got {self.theta}")
@@ -225,11 +221,17 @@ class GumbelCopula(Copula):
     """Bivariate Gumbel copula, theta >= 1.
 
     C(u,v) = exp(-((-ln u)^theta + (-ln v)^theta)^{1/theta}).
+    ``dim`` accepts only 2; it lets gumbel be built like clayton, ``(theta, dim)``.
     """
 
     theta: float
+    dim: int = 2
+
+    _theta_floor = 1.0
 
     def __post_init__(self):
+        if self.dim != 2:
+            raise ValueError(f"gumbel needs exactly 2 channels, got {self.dim}")
         if not self.theta >= 1.0:
             raise ValueError(f"gumbel needs theta >= 1, got {self.theta}")
         object.__setattr__(self, "theta", float(self.theta))
@@ -238,17 +240,11 @@ class GumbelCopula(Copula):
     def family(self) -> str:
         return "gumbel"
 
-    @property
-    def dim(self) -> int:
-        return 2
-
-    def _log_s(self, pts):
-        # log((-ln u)^theta + (-ln v)^theta)
-        log_x = np.log(-np.log(pts))
-        return np.logaddexp(self.theta * log_x[0], self.theta * log_x[1])
-
     def _cdf(self, pts):
-        return np.exp(-np.exp(self._log_s(pts) / self.theta))
+        # log_s = log((-ln u)^theta + (-ln v)^theta)
+        log_x = np.log(-np.log(pts))
+        log_s = np.logaddexp(self.theta * log_x[0], self.theta * log_x[1])
+        return np.exp(-np.exp(log_s / self.theta))
 
     @staticmethod
     def _log_terms(pts):
@@ -363,6 +359,12 @@ class FactorialCopula(Copula):
         for channels, model in zip(self.partition.blocks, self.blocks):
             out[list(channels), :] = model._sample(n, rng)
         return out
+
+
+# The one-parameter families, which model positive dependence only and are
+# not invariant under sign flips of the components. Each class is built as
+# cls(theta, dim), and its theta domain starts at cls._theta_floor.
+_THETA_FAMILIES = {"clayton": ClaytonCopula, "gumbel": GumbelCopula}
 
 
 def _bvn_cdf(a: float, b: float, r: float) -> float:
@@ -501,14 +503,12 @@ def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
             f"{family} models positive dependence only; kendall tau estimate is {tau:.4f}"
         )
     theta0 = _theta_from_tau(family, min(tau, 0.9999))
-    if family == "clayton":
-        cls, floor, make = ClaytonCopula, 0.0, lambda th: ClaytonCopula(th, d)
-    else:
-        cls, floor, make = GumbelCopula, 1.0, GumbelCopula
+    cls = _THETA_FAMILIES[family]
+    floor = cls._theta_floor
     terms = cls._log_terms(pseudo.values)
 
     def mean_log_density(th):
-        return float(np.mean(make(th)._log_density_of(terms)))
+        return float(np.mean(cls(th, d)._log_density_of(terms)))
 
     lo, hi = max(floor, theta0 / 4.0), 4.0 * theta0
     for _ in range(_BRACKET_WIDENINGS + 1):
@@ -518,7 +518,7 @@ def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
         elif hi - theta <= _THETA_TOL:
             hi *= 4.0
         else:
-            return make(theta)
+            return cls(theta, d)
     raise FamilyDomainError(
         f"{family} likelihood still rises at the bracket edge theta = {theta:.6g} "
         f"after {_BRACKET_WIDENINGS} widenings"
@@ -564,19 +564,14 @@ def stationarity_residual(model: Copula, pseudo: PseudoObservations, step: float
     Near zero at an interior maximum-likelihood fit; used to verify the
     first-order optimality of fitted Clayton/Gumbel parameters.
     """
-    if isinstance(model, ClaytonCopula):
-        make = lambda th: ClaytonCopula(th, model.dim)
-        lo_domain = 0.0
-    elif isinstance(model, GumbelCopula):
-        make = lambda th: GumbelCopula(th)
-        lo_domain = 1.0
-    else:
+    cls = type(model)
+    if cls not in _THETA_FAMILIES.values():
         raise ValueError("stationarity residual is defined for clayton and gumbel models")
     if pseudo.n_channels != model.dim:
         raise ValueError("data dimension does not match the model")
     th = model.theta
-    if th - step <= lo_domain:
+    if th - step <= cls._theta_floor:
         raise ValueError(f"theta = {th} is too close to the domain boundary for step {step}")
-    up = float(np.mean(make(th + step)._log_density(pseudo.values)))
-    down = float(np.mean(make(th - step)._log_density(pseudo.values)))
+    up = float(np.mean(cls(th + step, model.dim)._log_density(pseudo.values)))
+    down = float(np.mean(cls(th - step, model.dim)._log_density(pseudo.values)))
     return (up - down) / (2.0 * step)

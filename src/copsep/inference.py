@@ -18,12 +18,11 @@ from scipy.optimize import minimize
 from scipy.sparse.csgraph import connected_components
 
 from .copulas import (
+    _THETA_FAMILIES,
     FAMILY_NAMES,
-    ClaytonCopula,
     Copula,
     FactorialCopula,
     GaussianCopula,
-    GumbelCopula,
     ProductCopula,
     _fit_archimedean,
     _theta_from_tau,
@@ -48,11 +47,7 @@ __all__ = [
     "select_family",
 ]
 
-DEFAULT_FAMILIES = ("product", "gaussian", "clayton", "gumbel")
-
-# Families that are not invariant under sign flips of the components; only
-# they pin down a within-block transform (see _refine_pair).
-_TAIL_ASYMMETRIC = ("clayton", "gumbel")
+DEFAULT_FAMILIES = FAMILY_NAMES
 
 # The within-block search scores every pair of directions on a grid of
 # _GRID_ANGLES angles over [0, 2 pi) on a strided subsample of about
@@ -96,7 +91,7 @@ def _parameter_count(model: Copula) -> int:
     if isinstance(model, GaussianCopula):
         d = model.dim
         return d * (d - 1) // 2
-    if isinstance(model, (ClaytonCopula, GumbelCopula)):
+    if type(model) in _THETA_FAMILIES.values():
         return 1
     raise ValueError(f"no parameter count for {type(model).__name__}")
 
@@ -122,19 +117,6 @@ def _penalized_score(model: Copula, values: np.ndarray) -> float:
     return mean_ld - _bic_penalty(_parameter_count(model), values.shape[1])
 
 
-def _score_families(pseudo: PseudoObservations, menu):
-    """Fit each applicable family; return (score, menu position, family,
-    model) with the score of ``_penalized_score``."""
-    scored = []
-    for pos, family in enumerate(menu):
-        try:
-            model = fit_copula(pseudo, family)
-        except FamilyDomainError:
-            continue
-        scored.append((_penalized_score(model, pseudo.values), pos, family, model))
-    return scored
-
-
 def select_family(pseudo: PseudoObservations, menu) -> str:
     """Pick the copula family with the best penalized mean log density.
 
@@ -147,11 +129,16 @@ def select_family(pseudo: PseudoObservations, menu) -> str:
     menu = _check_menu(menu)
     if pseudo.n_channels < 2:
         raise ValueError("family selection needs a block of dimension at least 2")
-    scored = _score_families(pseudo, menu)
+    scored = []
+    for pos, family in enumerate(menu):
+        try:
+            model = fit_copula(pseudo, family)
+        except FamilyDomainError:
+            continue
+        scored.append((_penalized_score(model, pseudo.values), -pos, family))
     if not scored:
         raise FamilyDomainError(f"no family in {menu} is applicable to this block")
-    best = max(scored, key=lambda item: (item[0], -item[1]))
-    return best[2]
+    return max(scored)[2]
 
 
 def _tau_matrix(values: np.ndarray) -> np.ndarray:
@@ -221,7 +208,7 @@ def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu):
     invariant = []
     asymmetric = []
     for pos, family in enumerate(menu):
-        if family in _TAIL_ASYMMETRIC:
+        if family in _THETA_FAMILIES:
             asymmetric.append((pos, family))
         else:
             model = fit_copula(pseudo, family)
@@ -378,10 +365,6 @@ def _transformed_log_likelihood(y: np.ndarray, angles, model: Copula) -> float:
     return np.log(det) + _pair_log_likelihood(_unit_rows(angles) @ y, model)
 
 
-def _make_archimedean(family: str, theta: float) -> Copula:
-    return ClaytonCopula(theta, 2) if family == "clayton" else GumbelCopula(theta)
-
-
 def _refine_pair(y: np.ndarray, families):
     """Maximum-likelihood within-block transform of one dependent pair.
 
@@ -424,10 +407,11 @@ def _refine_pair(y: np.ndarray, families):
     polish = y[:, :: max(1, t // _POLISH_SAMPLES)]
     out = []
     for family in families:
+        cls = _THETA_FAMILIES[family]
         scored = []
         for i, k in grid:
             j = (i + k) % _GRID_ANGLES
-            model = _make_archimedean(family, _theta_from_tau(family, tau[i, j]))
+            model = cls(_theta_from_tau(family, tau[i, j]), 2)
             score = (
                 np.log(np.sin(k * step))
                 - entropy[i]
@@ -437,19 +421,19 @@ def _refine_pair(y: np.ndarray, families):
             if np.isfinite(score):
                 scored.append((score, i * step, (i + k) * step, model.theta))
         scored.sort(key=lambda item: -item[0])
-        # theta = exp(b) for clayton, 1 + exp(b) for gumbel
-        offset = 0.0 if family == "clayton" else 1.0
+        # theta = floor + exp(b), b unconstrained
+        floor = cls._theta_floor
 
         def negative(p):
-            return -_transformed_log_likelihood(polish, p[:2], _make_archimedean(family, offset + np.exp(p[2])))
+            return -_transformed_log_likelihood(polish, p[:2], cls(floor + np.exp(p[2]), 2))
 
         best = None
         for _, a1, a2, theta in scored[:_POLISH_STARTS]:
-            start = np.array([a1, a2, np.log(theta - offset)])
+            start = np.array([a1, a2, np.log(theta - floor)])
             simplex = np.vstack([start, start + np.diag([step / 2.0, step / 2.0, 0.2])])
             x = minimize(negative, start, method="Nelder-Mead",
                          options={"initial_simplex": simplex, "xatol": 5e-3, "fatol": 1e-5}).x
-            value = _transformed_log_likelihood(y, x[:2], _make_archimedean(family, offset + np.exp(x[2])))
+            value = _transformed_log_likelihood(y, x[:2], cls(floor + np.exp(x[2]), 2))
             if np.isfinite(value) and (best is None or value > best[0]):
                 best = (value, _unit_rows(x[:2]))
         if best is not None:
@@ -458,23 +442,27 @@ def _refine_pair(y: np.ndarray, families):
 
 
 def _refine_blocks(sources: SignalMatrix, partition: BlockPartition, copula: FactorialCopula, flips, menu):
-    """Within-block transform (n x n) for the components ``sources`` of the
-    rotation phase, given their dependence fit: the identity except on
-    refined pairs.
+    """Within-block transform (n x n) and copula of the components
+    ``sources`` of the rotation phase, given their dependence fit: the
+    transform starts as diag(+-1) of the flips, and the returned copula
+    describes the transformed components.
 
     A pair is refined when the best tail-asymmetric family in the menu
     with a fitted transform beats the block's fit in the rotation-phase
     coordinates by the Bayesian information criterion (two extra
-    parameters for the transform); ``cca_fit`` then keeps the transform
-    only if the refit picks a tail-asymmetric family. A block fitted best
-    as gaussian or product stays as it is: a linear transform and a
+    parameters for the transform). The pair is then refitted on the
+    transformed components; the transform stands, with the refit's
+    flips, only if the refit is a tail-asymmetric family. A block fitted
+    best as gaussian or product stays as it is: a linear transform and a
     gaussian correlation trade off against each other. Blocks of three or
     more channels are not refined; a warning says so.
     """
-    n, t = sources.n_channels, sources.n_samples
-    within = np.eye(n)
-    families = [f for f in menu if f in _TAIL_ASYMMETRIC]
-    for block, model in zip(partition.blocks, copula.blocks):
+    t = sources.n_samples
+    sign = np.where(flips, -1.0, 1.0)
+    within = np.diag(sign)
+    models = list(copula.blocks)
+    families = [f for f in menu if f in _THETA_FAMILIES]
+    for k, (block, model) in enumerate(zip(partition.blocks, copula.blocks)):
         if len(block) > 2:
             warnings.warn(
                 f"block {block} has {len(block)} channels; only pairs get a within-block "
@@ -484,18 +472,24 @@ def _refine_blocks(sources: SignalMatrix, partition: BlockPartition, copula: Fac
             continue
         if len(block) == 1 or not families:
             continue
-        y = sources.values[list(block)]
-        oriented = y * np.where(flips[list(block)], -1.0, 1.0)[:, None]
-        best = _pair_log_likelihood(oriented, model) - _bic_penalty(_parameter_count(model), t)
+        rows = list(block)
+        y = sources.values[rows]
+        best = _pair_log_likelihood(y * sign[rows, None], model) - _bic_penalty(_parameter_count(model), t)
         if not np.isfinite(best):
             warnings.warn(f"block {block} has tied values; it is not refined", stacklevel=3)
             continue
+        refined = None
         for value, transform in _refine_pair(y, families):
             value -= _bic_penalty(3, t)
             if value > best:
-                best = value
-                within[np.ix_(block, block)] = transform
-    return within
+                best, refined = value, transform
+        if refined is None:
+            continue
+        pattern, refit = _fit_block(pseudo_observations(SignalMatrix(refined @ y)), block, menu)
+        if refit.family in _THETA_FAMILIES:
+            within[np.ix_(rows, rows)] = refined * np.where(pattern, -1.0, 1.0)[:, None]
+            models[k] = refit
+    return within, FactorialCopula(partition, tuple(models))
 
 
 def cca_fit(
@@ -531,24 +525,7 @@ def cca_fit(
     part, copula, flips = fit_dependence(
         components, families=menu, partition=partition, tau_threshold=tau_threshold
     )
-    within = _refine_blocks(components, part, copula, flips, menu)
-    # only the refined pairs are refitted; one stands only where its refit
-    # is a tail-asymmetric family, otherwise it keeps the rotation-phase
-    # coordinates and fit
-    models = list(copula.blocks)
-    for k, block in enumerate(part.blocks):
-        rows = list(block)
-        if len(rows) != 2 or np.array_equal(within[np.ix_(rows, rows)], np.eye(2)):
-            continue
-        pair = pseudo_observations(SignalMatrix((within @ components.values)[rows]))
-        pattern, model = _fit_block(pair, block, menu)
-        if model.family in _TAIL_ASYMMETRIC:
-            flips[rows] = pattern
-            models[k] = model
-        else:
-            within[np.ix_(rows, rows)] = np.eye(2)
-    copula = FactorialCopula(part, tuple(models))
-    within = within * np.where(flips, -1.0, 1.0)[:, None]
+    within, copula = _refine_blocks(components, part, copula, flips, menu)
     sources = SignalMatrix(within @ components.values)
 
     separation = SeparationModel(mean, whitening, rotation, within)

@@ -416,6 +416,51 @@ class TestEvaluate:
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "document, key, blocks",
+        [
+            ("estimate", "partition", [[1, 2], [4]]),
+            ("estimate", "partition", [[0, 1], [2]]),
+            ("estimate", "partition", [[1, 2], [2, 3]]),
+            ("estimate", "partition", [[1], [2]]),
+            ("estimate", "copula", [[1], [2], [4]]),
+            ("estimate", "copula", [[0], [1], [2]]),
+            ("truth", "partition", [[1, 2], [4]]),
+            ("truth", "copula", [[1], [1], [3]]),
+        ],
+    )
+    def test_bad_channel_lists_exit_2(self, tmp_path, capsys, document, key, blocks):
+        # JSON channels are 1-based and each list must cover 1..n once
+        data = tmp_path / "d.csv"
+        truth_path = tmp_path / "t.json"
+        assert run(
+            "synth", "--channels", 3, "--samples", 300, "--mix", "identity",
+            "--seed", 6, "--out", data, "--truth-out", truth_path,
+        ) == 0
+        truth = json.loads(truth_path.read_text())
+        estimate = {
+            "demixing": np.eye(3).tolist(),
+            "partition": truth["partition"],
+            "copula": json.loads(json.dumps(truth["copula"])),
+            "divergence": 0.0,
+            "log_likelihood": -1.0,
+        }
+        doc = {"estimate": estimate, "truth": truth}[document]
+        if key == "partition":
+            doc["partition"] = blocks
+        else:
+            for block, channels in zip(doc["copula"]["params"]["blocks"], blocks):
+                block["channels"] = channels
+        estimate_path = tmp_path / "est.json"
+        estimate_path.write_text(json.dumps(estimate))
+        truth_path.write_text(json.dumps(truth))
+        code = run(
+            "evaluate", "--estimate", estimate_path, "--truth", truth_path,
+            "--data", data, "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        assert "does not partition channels 1..3" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         code = run(
             "evaluate", "--estimate", tmp_path / "nope.json", "--truth", tmp_path / "nope.json",

@@ -200,6 +200,11 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="theta >= 1"):
             GumbelCopula(0.8)
 
+    def test_gumbel_is_bivariate_only(self):
+        assert GumbelCopula(2.0).dim == GumbelCopula(2.0, 2).dim == 2
+        with pytest.raises(ValueError, match="2 channels"):
+            GumbelCopula(2.0, 3)
+
     def test_gaussian_needs_unit_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             GaussianCopula(np.array([[2.0, 0.0], [0.0, 2.0]]))

@@ -33,6 +33,7 @@ from copsep import (
 )
 from copsep import cli, copulas, inference
 from copsep.exceptions import BlockFitError, FamilyDomainError
+from copsep.copulas import _THETA_TOL
 from copsep.inference import DEFAULT_FAMILIES, FitReport, _best_orientation, _tau_matrix
 from copsep.margins import MarginalModel, PseudoObservations, margin_ppf
 
@@ -396,6 +397,36 @@ def test_fit_dependence_equivariant_under_negation(mask):
     assert np.array_equal(flips_n, flips ^ mask)
 
 
+@lru_cache(maxsize=None)
+def _six_channel_fit():
+    """Clayton triple, gumbel pair and singleton, with channels 0 and 4
+    negated so that the orientation flips them, and their dependence fit."""
+    s = SignalMatrix(block_sources(1, 1500).values * np.array([[-1.0], [1], [1], [1], [-1], [1]]))
+    return s, fit_dependence(s)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(order=st.permutations(range(6)))
+def test_fit_dependence_equivariant_under_permutation(order):
+    # channel k of the permuted sources is channel order[k] of the original;
+    # theta may move in the last bits, as the tau mean and the channel sums
+    # of the log density are added in another order
+    s, (part, copula, flips) = _six_channel_fit()
+    order = np.array(order)
+    part_p, copula_p, flips_p = fit_dependence(SignalMatrix(s.values[order]))
+    position = np.argsort(order)
+    expected = {
+        tuple(sorted(position[list(block)])): model
+        for block, model in zip(part.blocks, copula.blocks)
+    }
+    assert set(part_p.blocks) == set(expected)
+    for block, model in zip(part_p.blocks, copula_p.blocks):
+        assert model.family == expected[block].family
+        if hasattr(model, "theta"):
+            assert abs(model.theta - expected[block].theta) <= _THETA_TOL
+    assert np.array_equal(flips_p, flips[order])
+
+
 class TestCcaFit:
     def test_independent_laplace_recovers_everything(self):
         rng = np.random.default_rng(20)
@@ -486,6 +517,24 @@ class TestCcaFit:
             separation, report = cca_fit(x, partition=forced, seed=24)
         assert report.partition.blocks == forced.blocks
         assert np.array_equal(np.abs(separation.within), np.eye(3))
+
+    def test_refined_pair_reverts_when_refit_is_not_tail_asymmetric(self, monkeypatch):
+        # on these rounded independent channels a fitted transform beats
+        # the product fit by the BIC, so the pair is refitted; the refit
+        # picks product, so the transform is dropped
+        x = SignalMatrix(np.round(np.random.default_rng(0).laplace(size=(3, 3000)), 1))
+        fitted = []
+        fit_block = inference._fit_block
+
+        def recording(pseudo, block, menu, tau=None):
+            fitted.append(block)
+            return fit_block(pseudo, block, menu, tau)
+
+        monkeypatch.setattr(inference, "_fit_block", recording)
+        separation, report = cca_fit(x, partition=BlockPartition(((0, 1), (2,)), 3), seed=0)
+        assert fitted == [(0, 1), (0, 1)]
+        assert np.array_equal(np.abs(separation.within), np.eye(3))
+        assert report.copula.blocks[0].family == "product"
 
     def test_explicit_partition_forces_block_structure(self):
         rng = np.random.default_rng(23)
