@@ -29,7 +29,6 @@ from .exceptions import (
 )
 from .ica import fastica, mutual_information, normalize_components
 from .inference import (
-    DEFAULT_FAMILIES,
     FitReport,
     average_log_likelihood,
     cca_fit,

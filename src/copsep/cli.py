@@ -17,7 +17,7 @@ import numpy as np
 
 from .copulas import _THETA_FAMILIES, FAMILY_NAMES, FactorialCopula, GaussianCopula, ProductCopula
 from .exceptions import CopsepError, NonConvergenceError
-from .inference import DEFAULT_FAMILIES, cca_fit
+from .inference import cca_fit
 from .margins import MARGIN_NAMES, margin_ppf
 from .signals import BlockPartition, SignalMatrix, align_permutation, amari_index, mix
 
@@ -140,6 +140,8 @@ def _partition_to_json(partition: BlockPartition):
 
 def _split_per_block(text: str | None, count: int, flag: str):
     if count == 0:
+        if text is not None:
+            raise ValueError(f"--{flag} is given, but no block takes a value")
         return []
     if text is None:
         raise ValueError(f"--{flag} is required ({count} value(s) expected)")
@@ -207,7 +209,7 @@ def cmd_synth(args) -> int:
         parse_partition(args.partition, n) if args.partition else BlockPartition.singletons(n)
     )
     dependent = [b for b in partition.blocks if len(b) > 1]
-    families = _split_per_block(args.copula, len(dependent), "copula") if dependent else []
+    families = _split_per_block(args.copula, len(dependent), "copula")
 
     n_thetas = sum(f in _THETA_FAMILIES for f in families)
     thetas = iter([float(v) for v in _split_per_block(args.theta, n_thetas, "theta")])
@@ -267,15 +269,8 @@ def cmd_separate(args) -> int:
     if x.n_channels < 2:
         raise ValueError(f"{args.input}: need at least 2 channels, got {x.n_channels}")
     partition = None if args.partition == "auto" else parse_partition(args.partition, x.n_channels)
-    families = DEFAULT_FAMILIES if args.family == "auto" else (args.family,)
-    separation, report = cca_fit(
-        x,
-        families=families,
-        partition=partition,
-        tau_threshold=args.tau_threshold,
-        max_iter=args.max_iter,
-        seed=args.seed,
-    )
+    families = FAMILY_NAMES if args.family == "auto" else (args.family,)
+    separation, report = cca_fit(x, families=families, partition=partition, max_iter=args.max_iter, seed=args.seed)
     write_signal_csv(separation.separate(x), args.sources_out, header=args.header)
     payload = {
         "demixing": separation.demixing.tolist(),
@@ -404,11 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     separate.add_argument("input", help="observations CSV")
     separate.add_argument("--family", default="auto", choices=("auto",) + FAMILY_NAMES)
     separate.add_argument("--partition", default="auto", help="'auto' or explicit blocks like '1,2|3'")
-    separate.add_argument(
-        "--tau-threshold", type=float, default=0.1,
-        help="join two components into a block when |kendall tau| of their ranks, or of "
-        "their energies |u - 1/2|, exceeds this",
-    )
     separate.add_argument("--seed", type=int, default=0)
     separate.add_argument("--max-iter", type=int, default=200)
     separate.add_argument("--sources-out", required=True, help="recovered sources CSV")

@@ -558,8 +558,9 @@ def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
     return _fit_archimedean(pseudo, family, mean_pairwise_tau(pseudo))
 
 
-def stationarity_residual(model: Copula, pseudo: PseudoObservations, step: float = 1e-5) -> float:
-    """Central finite difference of mean log density with respect to theta.
+def stationarity_residual(model: Copula, pseudo: PseudoObservations) -> float:
+    """Central finite difference, with step 1e-5, of mean log density with
+    respect to theta.
 
     Near zero at an interior maximum-likelihood fit; used to verify the
     first-order optimality of fitted Clayton/Gumbel parameters.
@@ -569,7 +570,7 @@ def stationarity_residual(model: Copula, pseudo: PseudoObservations, step: float
         raise ValueError("stationarity residual is defined for clayton and gumbel models")
     if pseudo.n_channels != model.dim:
         raise ValueError("data dimension does not match the model")
-    th = model.theta
+    th, step = model.theta, 1e-5
     if th - step <= cls._theta_floor:
         raise ValueError(f"theta = {th} is too close to the domain boundary for step {step}")
     up = float(np.mean(cls(th + step, model.dim)._log_density(pseudo.values)))

@@ -37,7 +37,6 @@ from .margins import MarginalModel, PseudoObservations, pseudo_observations
 from .signals import BlockPartition, SeparationModel, SignalMatrix, center_and_whiten
 
 __all__ = [
-    "DEFAULT_FAMILIES",
     "FitReport",
     "cca_fit",
     "fit_dependence",
@@ -47,7 +46,9 @@ __all__ = [
     "select_family",
 ]
 
-DEFAULT_FAMILIES = FAMILY_NAMES
+# fit_dependence joins two components into a block when |tau| of their
+# ranks, or of their energies |u - 1/2|, exceeds this.
+_TAU_THRESHOLD = 0.1
 
 # The within-block search scores every pair of directions on a grid of
 # _GRID_ANGLES angles over [0, 2 pi) on a strided subsample of about
@@ -124,21 +125,13 @@ def select_family(pseudo: PseudoObservations, menu) -> str:
     nats per sample for k parameters, so the chance of picking a
     dependent family on independent data shrinks as T grows. Families
     whose domain excludes the data (e.g. clayton with non-positive
-    dependence) are skipped. Ties break by menu order.
+    dependence) are skipped. Ties break by menu order. This is the
+    scoring of ``_best_orientation`` with no component flipped.
     """
     menu = _check_menu(menu)
     if pseudo.n_channels < 2:
         raise ValueError("family selection needs a block of dimension at least 2")
-    scored = []
-    for pos, family in enumerate(menu):
-        try:
-            model = fit_copula(pseudo, family)
-        except FamilyDomainError:
-            continue
-        scored.append((_penalized_score(model, pseudo.values), -pos, family))
-    if not scored:
-        raise FamilyDomainError(f"no family in {menu} is applicable to this block")
-    return max(scored)[2]
+    return _best_orientation(pseudo, _tau_matrix(pseudo.values), menu, orient=False)[1].family
 
 
 def _tau_matrix(values: np.ndarray) -> np.ndarray:
@@ -180,7 +173,7 @@ def detect_partition(pseudo: PseudoObservations, tau_threshold: float) -> BlockP
     return _detect_partition(pseudo, tau_threshold)[0]
 
 
-def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu):
+def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu, orient: bool = True):
     """Resolve the sign indeterminacy of a dependent block and fit it.
 
     Rotation estimation fixes component signs by a convention that is
@@ -197,13 +190,16 @@ def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu):
     pseudo-observations of the negated components. Product and gaussian
     scores do not depend on the pattern, so they are fitted and scored
     once; only clayton and gumbel are fitted per pattern, and a pattern
-    with flips can win only through them.
+    with flips can win only through them. ``orient=False`` scores the
+    pattern without flips only. Every menu needs at least 100 samples.
 
     Returns
     -------
     (pattern, model) : the flips, one bool per channel, and the winning
     family fitted to the block with the flipped rows negated.
     """
+    if pseudo.n_samples < 100:
+        raise ValueError(f"need at least 100 samples to fit a copula, got {pseudo.n_samples}")
     d = pseudo.n_channels
     invariant = []
     asymmetric = []
@@ -213,7 +209,7 @@ def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu):
         else:
             model = fit_copula(pseudo, family)
             invariant.append((_penalized_score(model, pseudo.values), pos, model))
-    patterns = list(_cartesian((False, True), repeat=d)) if asymmetric else [(False,) * d]
+    patterns = list(_cartesian((False, True), repeat=d)) if asymmetric and orient else [(False,) * d]
     upper = np.triu_indices(d, 1)
     flipped = 1.0 - pseudo.values
     best = None
@@ -235,7 +231,7 @@ def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu):
         if best is None or key > best[0]:
             best = (key, pattern, model)
     if best is None:
-        raise FamilyDomainError(f"no family in {menu} is applicable to this block in any orientation")
+        raise FamilyDomainError(f"no family in {menu} is applicable to this block")
     return best[1], best[2]
 
 
@@ -249,15 +245,12 @@ def _fit_block(pseudo: PseudoObservations, block, menu, tau=None):
         raise BlockFitError(f"block {block}: {err}", block=block) from err
 
 
-def fit_dependence(
-    sources: SignalMatrix,
-    families=DEFAULT_FAMILIES,
-    partition: BlockPartition | None = None,
-    tau_threshold: float = 0.1,
-):
+def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: BlockPartition | None = None):
     """Phase 2: partition the components, then orient and fit one copula
     per non-singleton block.
 
+    Without an explicit partition, the components are grouped as by
+    ``detect_partition`` at the fixed threshold _TAU_THRESHOLD = 0.1.
     The sources are ranked once. Each block takes its Kendall-tau matrix
     from the one that detected the partition (an explicit partition
     computes each block's own), and gets one orientation search that
@@ -275,7 +268,7 @@ def fit_dependence(
     n = sources.n_channels
     tau = None
     if partition is None:
-        partition, tau = _detect_partition(pseudo, tau_threshold)
+        partition, tau = _detect_partition(pseudo, _TAU_THRESHOLD)
     elif partition.n_channels != n:
         raise ValueError(f"partition covers {partition.n_channels} channels, data has {n}")
 
@@ -494,17 +487,15 @@ def _refine_blocks(sources: SignalMatrix, partition: BlockPartition, copula: Fac
 
 def cca_fit(
     x: SignalMatrix,
-    families=DEFAULT_FAMILIES,
+    families=FAMILY_NAMES,
     partition: BlockPartition | None = None,
-    tau_threshold: float = 0.1,
-    nonlinearity: str = "tanh",
-    tol: float = 1e-6,
     max_iter: int = 200,
     seed: int = 0,
 ):
     """Run the full two-phase fit on raw observations.
 
-    Phase 1 centers, whitens, and estimates a canonical rotation; phase 2
+    Phase 1 centers, whitens, and estimates a canonical rotation (fastica
+    with its default nonlinearity and tolerance); phase 2
     partitions the recovered components and fits per-block copulas
     (see :func:`fit_dependence`). Whitening decorrelates a dependent
     pair, so each dependent pair then gets a within-block transform by
@@ -517,14 +508,12 @@ def cca_fit(
     (separation, report) : (SeparationModel, FitReport)
     """
     z, mean, whitening = center_and_whiten(x)
-    rotation, iterations = fastica(z, nonlinearity=nonlinearity, tol=tol, max_iter=max_iter, seed=seed)
+    rotation, iterations = fastica(z, max_iter=max_iter, seed=seed)
     rotation = normalize_components(rotation, z)
     components = SignalMatrix(rotation @ z.values)
 
     menu = _check_menu(families)
-    part, copula, flips = fit_dependence(
-        components, families=menu, partition=partition, tau_threshold=tau_threshold
-    )
+    part, copula, flips = fit_dependence(components, families=menu, partition=partition)
     within, copula = _refine_blocks(components, part, copula, flips, menu)
     sources = SignalMatrix(within @ components.values)
 

@@ -260,6 +260,22 @@ class TestSynth:
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run("synth", "--channels", 3) == 2
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--copula", "clayton", "--theta", 2), "--copula"),
+            (("--partition", "1,2|3", "--copula", "gaussian", "--rho", 0.5, "--theta", 7), "--theta"),
+        ],
+    )
+    def test_flag_no_block_takes_exits_2(self, tmp_path, capsys, flags, named):
+        code = run(
+            "synth", "--channels", 3, "--samples", 200, *flags,
+            "--out", tmp_path / "d.csv", "--truth-out", tmp_path / "t.json",
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
 
 class TestSeparate:
     def test_single_column_exits_2(self, tmp_path, capsys):
@@ -271,6 +287,22 @@ class TestSeparate:
         )
         assert code == 2
         assert "2 channels" in capsys.readouterr().err
+
+    def test_removed_tau_threshold_flag_exits_2(self, tmp_path):
+        data, _ = synth_example(tmp_path, seed=3)
+        assert run(
+            "separate", data, "--tau-threshold", 0.2,
+            "--sources-out", tmp_path / "s.csv", "--report-out", tmp_path / "r.json",
+        ) == 2
+
+    def test_short_input_with_tail_asymmetric_family_exits_2(self, tmp_path, capsys):
+        data, _ = synth_example(tmp_path, extra=("--samples", 60))
+        code = run(
+            "separate", data, "--family", "clayton", "--partition", "1,2|3",
+            "--sources-out", tmp_path / "s.csv", "--report-out", tmp_path / "r.json",
+        )
+        assert code == 2
+        assert "need at least 100 samples to fit a copula" in capsys.readouterr().err
 
     def test_forced_singleton_partition(self, tmp_path):
         data, _ = synth_example(tmp_path, seed=3)

@@ -1,3 +1,4 @@
+import warnings
 from functools import lru_cache
 from itertools import product as cartesian
 from math import comb
@@ -33,8 +34,8 @@ from copsep import (
 )
 from copsep import cli, copulas, inference
 from copsep.exceptions import BlockFitError, FamilyDomainError
-from copsep.copulas import _THETA_TOL
-from copsep.inference import DEFAULT_FAMILIES, FitReport, _best_orientation, _tau_matrix
+from copsep.copulas import FAMILY_NAMES, _THETA_TOL
+from copsep.inference import FitReport, _best_orientation, _tau_matrix
 from copsep.margins import MarginalModel, PseudoObservations, margin_ppf
 
 
@@ -63,6 +64,14 @@ def well_conditioned_mixing(rng, n):
 
 def identity_separation(n):
     return SeparationModel(np.zeros(n), np.eye(n), np.eye(n))
+
+
+# strictly increasing maps of the real line (in floating point too, on
+# the values the tests draw)
+INCREASING_MAPS = st.one_of(
+    st.tuples(st.floats(0.1, 10.0), st.floats(-10.0, 10.0)).map(lambda ab: lambda x: ab[0] * x + ab[1]),
+    st.sampled_from([np.exp, lambda x: x ** 3, np.arctan, np.sinh]),
+)
 
 
 def block_sources(seed, t):
@@ -282,17 +291,20 @@ class TestFitDependence:
         assert copula.blocks[0].theta == base_copula.blocks[0].theta
         assert flips[0] and not flips[1] and not flips[2]
 
-    def test_phase_two_invariant_under_increasing_transforms(self):
-        s = clayton_laplace_sources(6, t=3000)
-        warped = SignalMatrix(
-            np.vstack([np.exp(s.values[0]), s.values[1] ** 3, np.arctan(s.values[2])])
-        )
-        part_a, copula_a, flips_a = fit_dependence(s)
-        part_b, copula_b, flips_b = fit_dependence(warped)
-        assert part_a.blocks == part_b.blocks
-        assert np.array_equal(flips_a, flips_b)
-        assert copula_a.blocks[0].family == copula_b.blocks[0].family
-        assert copula_a.blocks[0].theta == copula_b.blocks[0].theta
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(maps=st.lists(INCREASING_MAPS, min_size=6, max_size=6))
+    def test_phase_two_invariant_under_increasing_transforms(self, maps):
+        # phase 2 sees ranks only, so one strictly increasing map per
+        # channel leaves every output exactly as it was
+        s, (part, copula, flips) = _six_channel_fit()
+        warped = SignalMatrix(np.vstack([f(row) for f, row in zip(maps, s.values)]))
+        part_w, copula_w, flips_w = fit_dependence(warped)
+        assert part_w.blocks == part.blocks == ((0, 1, 2), (3, 4), (5,))
+        assert [m.family for m in copula_w.blocks] == [m.family for m in copula.blocks]
+        assert [repr(getattr(m, "theta", None)) for m in copula_w.blocks] == [
+            repr(getattr(m, "theta", None)) for m in copula.blocks
+        ]
+        assert np.array_equal(flips_w, flips)
 
     def test_model_improvement_over_independence(self):
         s = clayton_laplace_sources(7, t=5000)
@@ -314,6 +326,15 @@ class TestFitDependence:
         s = SignalMatrix(np.random.default_rng(9).laplace(size=(3, 500)))
         with pytest.raises(ValueError, match="partition"):
             fit_dependence(s, partition=BlockPartition.singletons(2))
+
+    @pytest.mark.parametrize("menu", [("clayton",), ("gumbel",), ("clayton", "gumbel")])
+    def test_tail_asymmetric_menus_need_100_samples(self, menu):
+        u = ClaytonCopula(4.0, 2).sample(50, seed=0)
+        s = SignalMatrix(margin_ppf("laplace", (0.0, 1.0), u.values))
+        with pytest.raises(ValueError, match="need at least 100 samples"):
+            fit_dependence(s, families=menu, partition=BlockPartition(((0, 1),), 2))
+        with pytest.raises(ValueError, match="need at least 100 samples"):
+            select_family(u, menu)
 
     def test_block_fit_error_names_block(self):
         rng = np.random.default_rng(10)
@@ -366,8 +387,8 @@ class TestFitDependence:
         else:
             values = GaussianCopula(corr2(-0.6)).sample(2000, seed=34).values
         pseudo = pseudo_observations(SignalMatrix(values))
-        pattern, model = _best_orientation(pseudo, _tau_matrix(pseudo.values), DEFAULT_FAMILIES)
-        ref_pattern, ref_model = brute_force_orientation(pseudo, DEFAULT_FAMILIES)
+        pattern, model = _best_orientation(pseudo, _tau_matrix(pseudo.values), FAMILY_NAMES)
+        ref_pattern, ref_model = brute_force_orientation(pseudo, FAMILY_NAMES)
         assert tuple(pattern) == tuple(ref_pattern)
         assert model.family == ref_model.family
         if model.family == "gaussian":
@@ -425,6 +446,43 @@ def test_fit_dependence_equivariant_under_permutation(order):
         if hasattr(model, "theta"):
             assert abs(model.theta - expected[block].theta) <= _THETA_TOL
     assert np.array_equal(flips_p, flips[order])
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda sizes: 2 <= sum(sizes) <= 5),
+    family=st.sampled_from(["clayton", "gumbel", "gaussian"]),
+    seed=st.integers(0, 2**16),
+)
+def test_divergence_splits_exactly_across_modules(sizes, family, seed):
+    # D = I + H holds exactly in kl_decomposition, and cca_fit's report
+    # equals kl_decomposition of the sources it separated, computed in
+    # the same order: within @ (rotation @ z)
+    bounds = np.cumsum([0] + sizes)
+    partition = BlockPartition(tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])), int(bounds[-1]))
+    models = []
+    for size in sizes:
+        if size == 1:
+            models.append(ProductCopula(1))
+        elif family == "gaussian":
+            models.append(GaussianCopula(np.full((size, size), 0.5) + 0.5 * np.eye(size)))
+        else:
+            models.append((GumbelCopula if family == "gumbel" and size == 2 else ClaytonCopula)(2.0, size))
+    truth = FactorialCopula(partition, tuple(models))
+    u = truth.sample(2000, seed=seed)
+    sources = SignalMatrix(margin_ppf("laplace", (0.0, 1.0), u.values))
+    i, h, d = kl_decomposition(sources, truth)
+    assert d.hex() == (i + h).hex()
+
+    x = mix(sources, well_conditioned_mixing(np.random.default_rng(seed), partition.n_channels))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        separation, report = cca_fit(x, seed=0)
+    z, _, _ = center_and_whiten(x)
+    recovered = SignalMatrix(separation.within @ (separation.rotation @ z.values))
+    i, h, d = kl_decomposition(recovered, report.copula)
+    assert (report.mutual_information.hex(), report.copula_entropy.hex()) == (i.hex(), h.hex())
+    assert report.divergence.hex() == d.hex()
 
 
 class TestCcaFit:
