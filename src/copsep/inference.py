@@ -16,6 +16,8 @@ from itertools import product as _cartesian
 import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse.csgraph import connected_components
+from scipy.special import ndtri
+from scipy.stats import rankdata
 
 from .copulas import (
     _THETA_FAMILIES,
@@ -46,9 +48,13 @@ __all__ = [
     "select_family",
 ]
 
-# fit_dependence joins two components into a block when |tau| of their
-# ranks, or of their energies |u - 1/2|, exceeds this.
-_TAU_THRESHOLD = 0.1
+# fit_dependence joins two of n components into a block when |rho| of
+# their ranks, or of their energies |u - 1/2|, exceeds z / sqrt(T - 1):
+# 1 / sqrt(T - 1) is the standard deviation of Spearman's rho between
+# independent channels, and z is the Bonferroni normal quantile that keeps
+# the chance of any false edge among the 2 C(n, 2) two-sided tests at this
+# level.
+_FAMILY_WISE_LEVEL = 1e-3
 
 # The within-block search scores every pair of directions on a grid of
 # _GRID_ANGLES angles over [0, 2 pi) on a strided subsample of about
@@ -145,32 +151,47 @@ def _tau_matrix(values: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _detect_partition(pseudo: PseudoObservations, tau_threshold: float):
-    """``detect_partition`` and the plain Kendall-tau matrix it grouped by,
-    which ``fit_dependence`` reuses for the blocks."""
-    if pseudo.n_samples < 100:
-        raise ValueError(f"need at least 100 samples, got {pseudo.n_samples}")
-    if not 0.0 < tau_threshold < 1.0:
-        raise ValueError(f"tau threshold must lie inside (0, 1), got {tau_threshold}")
-    u = pseudo.values
-    tau = _tau_matrix(u)
-    edges = (np.abs(tau) > tau_threshold) | (np.abs(_tau_matrix(np.abs(u - 0.5))) > tau_threshold)
-    n_blocks, labels = connected_components(edges, directed=False)
-    partition = BlockPartition(tuple(np.flatnonzero(labels == k) for k in range(n_blocks)), pseudo.n_channels)
-    return partition, tau
+def _rank_correlations(u: np.ndarray):
+    """Spearman's rho of every pair of rows of the pseudo-observations u,
+    and of their energies |u - 1/2|; 0 against a constant row. Each is
+    the Pearson correlation of ranks, one product of the centred rows."""
+    out = []
+    for ranks in (u, rankdata(np.abs(u - 0.5), method="average", axis=1)):
+        centred = ranks - ranks.mean(axis=1, keepdims=True)
+        product = centred @ centred.T
+        scale = np.sqrt(np.diag(product))
+        scale[scale == 0.0] = np.inf
+        out.append(product / np.outer(scale, scale))
+    return out
 
 
-def detect_partition(pseudo: PseudoObservations, tau_threshold: float) -> BlockPartition:
+def _detection_threshold(n_channels: int, n_samples: int) -> float:
+    """The |rho| above which ``fit_dependence`` joins two channels (see
+    _FAMILY_WISE_LEVEL)."""
+    tests = max(1, n_channels * (n_channels - 1))
+    return float(-ndtri(_FAMILY_WISE_LEVEL / (2 * tests)) / np.sqrt(n_samples - 1))
+
+
+def detect_partition(pseudo: PseudoObservations, threshold: float) -> BlockPartition:
     """Group channels into blocks: connected components of the graph with
-    an edge wherever |kendall tau| or the energy rank correlation
-    |tau(|u_i - 1/2|, |u_j - 1/2|)| exceeds the threshold.
+    an edge wherever Spearman's |rho| of the pseudo-observations, or the
+    energy rank correlation |rho(|u_i - 1/2|, |u_j - 1/2|)|, exceeds the
+    threshold.
 
     The energy term is the grouping criterion of multidimensional ICA: a
     dependent pair that whitening has decorrelated keeps almost no plain
-    rank correlation, but its components still grow large together.
-    Both terms use the pseudo-observations only.
+    rank correlation, but its components still grow large together. Both
+    terms use the pseudo-observations only; ``fit_dependence`` passes the
+    threshold it works out from the sample and channel counts.
     """
-    return _detect_partition(pseudo, tau_threshold)[0]
+    if pseudo.n_samples < 100:
+        raise ValueError(f"need at least 100 samples, got {pseudo.n_samples}")
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie inside (0, 1), got {threshold}")
+    plain, energy = _rank_correlations(pseudo.values)
+    edges = (np.abs(plain) > threshold) | (np.abs(energy) > threshold)
+    n_blocks, labels = connected_components(edges, directed=False)
+    return BlockPartition(tuple(np.flatnonzero(labels == k) for k in range(n_blocks)), pseudo.n_channels)
 
 
 def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu, orient: bool = True):
@@ -235,12 +256,11 @@ def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu, orient:
     return best[1], best[2]
 
 
-def _fit_block(pseudo: PseudoObservations, block, menu, tau=None):
+def _fit_block(pseudo: PseudoObservations, block, menu):
     """Orientation and copula of one block (see ``_best_orientation``),
-    from its tau matrix, computed here unless given; failures name the
-    block."""
+    from its Kendall-tau matrix; failures name the block."""
     try:
-        return _best_orientation(pseudo, _tau_matrix(pseudo.values) if tau is None else tau, menu)
+        return _best_orientation(pseudo, _tau_matrix(pseudo.values), menu)
     except CopsepError as err:
         raise BlockFitError(f"block {block}: {err}", block=block) from err
 
@@ -249,11 +269,13 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
     """Phase 2: partition the components, then orient and fit one copula
     per non-singleton block.
 
-    Without an explicit partition, the components are grouped as by
-    ``detect_partition`` at the fixed threshold _TAU_THRESHOLD = 0.1.
-    The sources are ranked once. Each block takes its Kendall-tau matrix
-    from the one that detected the partition (an explicit partition
-    computes each block's own), and gets one orientation search that
+    Without an explicit partition, the components are grouped by
+    ``detect_partition`` at the threshold z / sqrt(T - 1) worked out from
+    the sample count T and the channel count n: z is the Bonferroni
+    normal quantile over the 2 C(n, 2) plain and energy tests at the
+    family-wise level _FAMILY_WISE_LEVEL. The sources are ranked once.
+    Kendall tau is computed only inside the non-singleton blocks, once
+    per pair, and each such block gets one orientation search that
     returns the fitted copula with the winning sign pattern (see
     ``_best_orientation``), so no block is refitted after it is oriented.
 
@@ -266,9 +288,8 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
     menu = _check_menu(families)
     pseudo = pseudo_observations(sources)
     n = sources.n_channels
-    tau = None
     if partition is None:
-        partition, tau = _detect_partition(pseudo, _TAU_THRESHOLD)
+        partition = detect_partition(pseudo, _detection_threshold(n, pseudo.n_samples))
     elif partition.n_channels != n:
         raise ValueError(f"partition covers {partition.n_channels} channels, data has {n}")
 
@@ -278,8 +299,7 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
         if len(block) == 1:
             models.append(ProductCopula(1))
             continue
-        block_tau = None if tau is None else tau[np.ix_(block, block)]
-        pattern, model = _fit_block(pseudo.restrict(block), block, menu, block_tau)
+        pattern, model = _fit_block(pseudo.restrict(block), block, menu)
         flips[list(block)] = pattern
         models.append(model)
     return partition, FactorialCopula(partition, tuple(models)), flips
@@ -501,12 +521,15 @@ def cca_fit(
     pair, so each dependent pair then gets a within-block transform by
     maximum likelihood (margins by m-spacing entropy, dependence by the
     copula), and the copulas are refitted on the transformed pair with
-    the partition kept. Deterministic for a fixed seed.
+    the partition kept. Deterministic for a fixed seed. Needs at least
+    100 samples, checked before any work.
 
     Returns
     -------
     (separation, report) : (SeparationModel, FitReport)
     """
+    if x.n_samples < 100:
+        raise ValueError(f"need at least 100 samples to fit a copula, got {x.n_samples}")
     z, mean, whitening = center_and_whiten(x)
     rotation, iterations = fastica(z, max_iter=max_iter, seed=seed)
     rotation = normalize_components(rotation, z)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from copsep import SignalMatrix, cli
+from copsep import SignalMatrix, cli, inference
 from copsep.cli import main, parse_partition, read_signal_csv, write_signal_csv
 
 
@@ -303,6 +303,20 @@ class TestSeparate:
         )
         assert code == 2
         assert "need at least 100 samples to fit a copula" in capsys.readouterr().err
+
+    def test_short_input_with_singleton_partition_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch):
+        data, _ = synth_example(tmp_path, extra=("--samples", 60))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("fastica ran")
+
+        monkeypatch.setattr(inference, "fastica", fail)
+        code = run(
+            "separate", data, "--partition", "1|2|3",
+            "--sources-out", tmp_path / "s.csv", "--report-out", tmp_path / "r.json",
+        )
+        assert code == 2
+        assert "need at least 100 samples" in capsys.readouterr().err
 
     def test_forced_singleton_partition(self, tmp_path):
         data, _ = synth_example(tmp_path, seed=3)

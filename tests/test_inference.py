@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import spearmanr
 
 from copsep import (
     BlockPartition,
@@ -25,17 +26,19 @@ from copsep import (
     center_and_whiten,
     copula_entropy,
     detect_partition,
+    fastica,
     fit_copula,
     fit_dependence,
     kl_decomposition,
     mix,
+    normalize_components,
     pseudo_observations,
     select_family,
 )
 from copsep import cli, copulas, inference
 from copsep.exceptions import BlockFitError, FamilyDomainError
 from copsep.copulas import FAMILY_NAMES, _THETA_TOL
-from copsep.inference import FitReport, _best_orientation, _tau_matrix
+from copsep.inference import FitReport, _best_orientation, _rank_correlations, _tau_matrix
 from copsep.margins import MarginalModel, PseudoObservations, margin_ppf
 
 
@@ -156,6 +159,78 @@ class TestDetectPartition:
         u = pseudo_observations(SignalMatrix(np.random.default_rng(0).random((2, 50))))
         with pytest.raises(ValueError, match="100"):
             detect_partition(u, 0.1)
+
+
+def weak_pair_sources(seed, t, clayton=1.0, gumbel=1.5):
+    """Laplace sources: a clayton pair, a gumbel pair (by default both of
+    Kendall tau 1/3) and an independent fifth channel."""
+    partition = BlockPartition(((0, 1), (2, 3), (4,)), 5)
+    models = (ClaytonCopula(clayton, 2), GumbelCopula(gumbel), ProductCopula(1))
+    u = FactorialCopula(partition, models).sample(t, seed=seed)
+    return SignalMatrix(margin_ppf("laplace", (0.0, 1.0), u.values))
+
+
+def rotation_phase(x, seed):
+    """The demixing and the components that cca_fit hands to
+    fit_dependence."""
+    z, _, whitening = center_and_whiten(x)
+    rotation, _ = fastica(z, seed=seed)
+    rotation = normalize_components(rotation, z)
+    return rotation @ whitening, SignalMatrix(rotation @ z.values)
+
+
+class TestCalibratedDetection:
+    def test_matrices_are_spearman_rho_of_ranks_and_energies(self):
+        rng = np.random.default_rng(60)
+        base = rng.standard_normal(600)
+        values = np.vstack([
+            np.round(base + rng.standard_normal(600), 1),
+            np.round(base ** 2, 0),
+            rng.integers(0, 4, 600),
+            rng.laplace(size=600),
+        ])
+        u = pseudo_observations(SignalMatrix(values)).values
+        plain, energy = _rank_correlations(u)
+        assert_allclose(plain, spearmanr(u, axis=1).statistic, rtol=0.0, atol=1e-12)
+        assert_allclose(energy, spearmanr(np.abs(u - 0.5), axis=1).statistic, rtol=0.0, atol=1e-12)
+
+    def test_threshold_follows_samples_and_channels(self):
+        # z / sqrt(T - 1) with z the Bonferroni quantile over 2 C(n, 2) tests
+        threshold = inference._detection_threshold
+        assert threshold(8, 2000) / threshold(8, 20000) == pytest.approx(np.sqrt(19999 / 1999), rel=1e-12)
+        assert threshold(3, 5000) < threshold(8, 5000) < threshold(16, 5000)
+
+    def test_independent_sources_rarely_form_a_block(self):
+        # the false-block rate after the rotation phase at a small T, where
+        # its estimation error is largest
+        false_blocks = 0
+        for seed in range(30000, 30100):
+            rng = np.random.default_rng(seed)
+            x = mix(SignalMatrix(rng.laplace(size=(8, 2000))), well_conditioned_mixing(rng, 8))
+            _, report = cca_fit(x, seed=seed)
+            false_blocks += any(len(block) > 1 for block in report.partition.blocks)
+        assert false_blocks <= 1
+
+    @staticmethod
+    def _pairs_found(seeds, t, **thetas):
+        found = 0
+        for seed in seeds:
+            a = well_conditioned_mixing(np.random.default_rng(seed), 5)
+            demixing, components = rotation_phase(mix(weak_pair_sources(seed, t, **thetas), a), seed)
+            part, _, _ = fit_dependence(components)
+            perm = align_permutation(demixing @ a)
+            found += sorted(tuple(sorted(perm[list(b)])) for b in part.blocks) == [(0, 1), (2, 3), (4,)]
+        return found
+
+    def test_weak_pairs_found_after_rotation_phase(self):
+        seeds = range(31000, 31020)
+        assert self._pairs_found(seeds, 10000) >= 0.95 * len(seeds)
+
+    def test_weaker_pairs_found_at_large_t(self):
+        # tau 0.2 pairs read rho 0.06-0.08 after whitening at T = 20k,
+        # about twice the threshold there and below any fixed 0.1
+        seeds = range(32000, 32010)
+        assert self._pairs_found(seeds, 20000, clayton=0.5, gumbel=1.25) == len(seeds)
 
 
 class TestSelectFamily:
@@ -358,13 +433,13 @@ class TestFitDependence:
         return calls
 
     def test_kendall_tau_once_per_pair_and_block(self, monkeypatch):
-        # detection takes the plain and the energy tau of every pair; the
-        # dependent blocks reuse the plain ones, whatever the flips
+        # detection takes no Kendall tau; each dependent block takes the
+        # tau of each of its pairs once, whatever the flips
         calls = self._count_kendall_tau(monkeypatch)
         part, copula, _ = fit_dependence(block_sources(1, 1500))
         assert part.blocks == ((0, 1, 2), (3, 4), (5,))
         assert [m.family for m in copula.blocks] == ["clayton", "gumbel", "product"]
-        assert len(calls) == 2 * comb(part.n_channels, 2)
+        assert len(calls) == sum(comb(len(b), 2) for b in part.blocks)
 
     def test_explicit_partition_takes_each_block_tau_once(self, monkeypatch):
         sources = block_sources(1, 1500)
@@ -372,7 +447,7 @@ class TestFitDependence:
         calls = self._count_kendall_tau(monkeypatch)
         part, copula, flips = fit_dependence(sources, partition=BlockPartition(((0, 1, 2), (3, 4), (5,)), 6))
         assert len(calls) == sum(comb(len(b), 2) for b in part.blocks)
-        # the block taus from detection are the ones a block computes itself
+        # an explicit partition fits its blocks as the detected one does
         assert [repr(m.theta) for m in copula.blocks[:2]] == [repr(m.theta) for m in auto[1].blocks[:2]]
         assert np.array_equal(flips, auto[2])
 
@@ -584,15 +659,24 @@ class TestCcaFit:
         fitted = []
         fit_block = inference._fit_block
 
-        def recording(pseudo, block, menu, tau=None):
+        def recording(pseudo, block, menu):
             fitted.append(block)
-            return fit_block(pseudo, block, menu, tau)
+            return fit_block(pseudo, block, menu)
 
         monkeypatch.setattr(inference, "_fit_block", recording)
         separation, report = cca_fit(x, partition=BlockPartition(((0, 1), (2,)), 3), seed=0)
         assert fitted == [(0, 1), (0, 1)]
         assert np.array_equal(np.abs(separation.within), np.eye(3))
         assert report.copula.blocks[0].family == "product"
+
+    def test_short_input_fails_before_the_rotation_phase(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("fastica ran")
+
+        monkeypatch.setattr(inference, "fastica", fail)
+        x = SignalMatrix(np.random.default_rng(25).laplace(size=(3, 60)))
+        with pytest.raises(ValueError, match="need at least 100 samples"):
+            cca_fit(x, partition=BlockPartition.singletons(3))
 
     def test_explicit_partition_forces_block_structure(self):
         rng = np.random.default_rng(23)
