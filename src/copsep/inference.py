@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .copulas import (
     _THETA_FAMILIES,
@@ -35,7 +34,7 @@ from .copulas import (
 )
 from .exceptions import BlockFitError, CopsepError, FamilyDomainError
 from .ica import fastica, mutual_information, normalize_components
-from .margins import MarginalModel, PseudoObservations, pseudo_observations
+from .margins import MarginalModel, PseudoObservations, _average_ranks, pseudo_observations
 from .signals import BlockPartition, SeparationModel, SignalMatrix, center_and_whiten
 
 __all__ = [
@@ -154,9 +153,11 @@ def _tau_matrix(values: np.ndarray) -> np.ndarray:
 def _rank_correlations(u: np.ndarray):
     """Spearman's rho of every pair of rows of the pseudo-observations u,
     and of their energies |u - 1/2|; 0 against a constant row. Each is
-    the Pearson correlation of ranks, one product of the centred rows."""
+    the Pearson correlation of ranks, one product of the centred rows.
+    The energies are ranked by ``margins._average_ranks``; they hold many
+    ties, as u and 1 - u share an energy."""
     out = []
-    for ranks in (u, rankdata(np.abs(u - 0.5), method="average", axis=1)):
+    for ranks in (u, _average_ranks(np.abs(u - 0.5))):
         centred = ranks - ranks.mean(axis=1, keepdims=True)
         product = centred @ centred.T
         scale = np.sqrt(np.diag(product))

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .signals import SignalMatrix, _frozen_array
 
@@ -55,8 +54,36 @@ class PseudoObservations:
         return PseudoObservations(self.values[list(channels), :])
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..T within each row of a finite 2-D array, tied values
+    getting the mean of their ranks.
+
+    A run of equal values at sorted positions first..last gets
+    (first + last) / 2 + 1, an exact half-integer whatever order the sort
+    leaves the ties in. So numpy's default (unstable) argsort gives the
+    same bits as scipy's average ranking, at a fraction of the cost of
+    the stable sort scipy uses.
+    """
+    n, t = values.shape
+    order = np.argsort(values, axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    # run_start[i, k]: sorted position k of row i starts a run; the extra
+    # column closes the last run
+    run_start = np.ones((n, t + 1), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_start[:, 1:t])
+    sorted_ranks = np.tile(np.arange(1.0, t + 1), (n, 1))
+    for i in np.flatnonzero(~run_start[:, 1:t].all(axis=1)):
+        # run k spans sorted positions bounds[k] .. bounds[k + 1] - 1
+        bounds = np.flatnonzero(run_start[i])
+        sorted_ranks[i] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2, np.diff(bounds))
+    ranks = np.empty((n, t))
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    return ranks
+
+
 def pseudo_observations(signals: SignalMatrix) -> PseudoObservations:
-    """Per-channel transform u = rank / (T + 1), ties getting average rank.
+    """Per-channel transform u = rank / (T + 1), ties getting average rank
+    (``_average_ranks``).
 
     The T+1 denominator keeps every entry strictly inside (0,1), where
     copula densities are finite. Invariant under strictly increasing
@@ -64,7 +91,7 @@ def pseudo_observations(signals: SignalMatrix) -> PseudoObservations:
     """
     if signals.n_samples < 2:
         raise ValueError("pseudo-observations need at least 2 samples")
-    ranks = rankdata(signals.values, method="average", axis=1)
+    ranks = _average_ranks(signals.values)
     return PseudoObservations(ranks / (signals.n_samples + 1))
 
 

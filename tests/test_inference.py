@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.stats import spearmanr
+from scipy.stats import rankdata, spearmanr
 
 from copsep import (
     BlockPartition,
@@ -35,7 +35,7 @@ from copsep import (
     pseudo_observations,
     select_family,
 )
-from copsep import cli, copulas, inference
+from copsep import cli, copulas, inference, margins
 from copsep.exceptions import BlockFitError, FamilyDomainError
 from copsep.copulas import FAMILY_NAMES, _THETA_TOL
 from copsep.inference import FitReport, _best_orientation, _rank_correlations, _tau_matrix
@@ -703,3 +703,62 @@ class TestFitReport:
                 seed=0,
                 density_floor_hit=False,
             )
+
+
+def _model_key(model):
+    return (model.family, repr(getattr(model, "theta", None)), getattr(model, "correlation", np.empty(0)).tobytes())
+
+
+def _fit_key(separation, report):
+    return (
+        separation.demixing.tobytes(),
+        report.partition.blocks,
+        [_model_key(m) for m in report.copula.blocks],
+        report.divergence.hex(),
+        report.log_likelihood.hex(),
+    )
+
+
+def _with_scipy_ranks(monkeypatch, run):
+    """run() as is, then with scipy's rankdata in place of the numpy
+    average-rank kernel at both ranking sites."""
+    native = run()
+    calls = []
+
+    def scipy_ranks(values):
+        calls.append(values.shape)
+        return rankdata(values, method="average", axis=1)
+
+    with monkeypatch.context() as m:
+        m.setattr(margins, "_average_ranks", scipy_ranks)
+        m.setattr(inference, "_average_ranks", scipy_ranks)
+        reference = run()
+    assert calls
+    return native, reference
+
+
+class TestRankKernelLeavesOutputsUnchanged:
+    def test_cca_fit_on_independent_channels(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = mix(SignalMatrix(rng.laplace(size=(8, 5000))), well_conditioned_mixing(rng, 8))
+        native, reference = _with_scipy_ranks(monkeypatch, lambda: _fit_key(*cca_fit(x, seed=8)))
+        assert native == reference
+
+    def test_cca_fit_on_rounded_clayton_pair(self, monkeypatch):
+        x = SignalMatrix(np.round(clayton_laplace_sources(42, t=4000).values, 1))
+        native, reference = _with_scipy_ranks(monkeypatch, lambda: _fit_key(*cca_fit(x, seed=42)))
+        assert native == reference
+        # components come out permuted; the pair is found either way
+        assert sorted(map(len, native[1])) == [1, 2]
+
+    def test_fit_dependence_on_blocks(self, monkeypatch):
+        s = block_sources(3, 5000)
+
+        def run():
+            partition, copula, flips = fit_dependence(s)
+            i, h, d = kl_decomposition(SignalMatrix(s.values * np.where(flips, -1.0, 1.0)[:, None]), copula)
+            return partition.blocks, [_model_key(m) for m in copula.blocks], flips.tobytes(), (i.hex(), h.hex(), d.hex())
+
+        native, reference = _with_scipy_ranks(monkeypatch, run)
+        assert native == reference
+        assert native[0] == ((0, 1, 2), (3, 4), (5,))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import rankdata
 
 from copsep import (
     MarginalModel,
@@ -11,6 +14,31 @@ from copsep import (
     pseudo_observations,
     sample_margin,
 )
+from copsep.margins import _average_ranks
+
+
+def _rank_rows(t):
+    """One row of length t: few distinct values, signed zeros, a
+    constant, or distinct values."""
+    return st.one_of(
+        st.lists(st.integers(0, 3).map(float), min_size=t, max_size=t),
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5]), min_size=t, max_size=t),
+        st.floats(-1e3, 1e3).map(lambda c: [c] * t),
+        st.lists(st.floats(-1e6, 1e6), min_size=t, max_size=t, unique=True),
+    )
+
+
+@st.composite
+def _rank_inputs(draw):
+    t = draw(st.integers(2, 40))
+    return np.array([draw(_rank_rows(t)) for _ in range(draw(st.integers(1, 6)))])
+
+
+def assert_same_ranks_as_scipy(values):
+    ranks = _average_ranks(values)
+    expected = rankdata(values, method="average", axis=1)
+    assert ranks.dtype == expected.dtype
+    assert np.array_equal(ranks, expected)
 
 
 class TestPseudoObservations:
@@ -51,6 +79,28 @@ class TestPseudoObservations:
     def test_type_rejects_boundary_values(self):
         with pytest.raises(ValueError, match="strictly inside"):
             PseudoObservations(np.array([[0.5, 1.0]]))
+
+
+class TestAverageRanks:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_rank_inputs())
+    @example(np.array([[1.0, 1.0]]))
+    @example(np.array([[2.0, 1.0], [-0.0, 0.0]]))
+    @example(np.full((3, 7), 4.0))
+    @example(np.array([[3.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.0, 2.0], [0.0, 9.0, 8.0, 7.0], [5.0, 5.0, 6.0, 6.0]]))
+    def test_bit_identical_to_scipy_average_ranks(self, values):
+        # exact equality: average ranks are half-integers, whatever order
+        # the sort leaves the ties in
+        assert_same_ranks_as_scipy(values)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_on_pseudo_observation_energies(self, seed):
+        # u and 1 - u share an energy |u - 1/2|, so every row is full of ties
+        x = SignalMatrix(np.random.default_rng(seed).laplace(size=(4, 20000)))
+        energy = np.abs(pseudo_observations(x).values - 0.5)
+        tied = np.diff(np.sort(energy, axis=1), axis=1) == 0.0
+        assert tied.sum(axis=1).min() > 1000
+        assert_same_ranks_as_scipy(energy)
 
 
 class TestMarginalQuantile:
