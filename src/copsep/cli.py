@@ -18,16 +18,16 @@ import numpy as np
 from .copulas import _THETA_FAMILIES, FAMILY_NAMES, FactorialCopula, GaussianCopula, ProductCopula
 from .exceptions import CopsepError, NonConvergenceError
 from .inference import cca_fit
-from .margins import MARGIN_NAMES, margin_ppf
+from .margins import margin_ppf
 from .signals import BlockPartition, SignalMatrix, align_permutation, amari_index, mix
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NONCONVERGENCE = 3
 
-# Default parameters for named margins: (low, high) for uniform,
+# Parameters of every synthesized margin: (low, high) for uniform,
 # (location, scale) otherwise.
-MARGIN_DEFAULTS = {"uniform": (0.0, 1.0), "gaussian": (0.0, 1.0), "laplace": (0.0, 1.0)}
+MARGIN_PARAMS = (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +39,9 @@ _CSV_CHUNK_ROWS = 2048
 
 def _parse_cell(token: str):
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         return None
-    return value if math.isfinite(value) else None
 
 
 def _raise_first_bad_row(path: str, lines, first: int, width: int):
@@ -56,7 +55,8 @@ def _raise_first_bad_row(path: str, lines, first: int, width: int):
                 f"{path}: row {lineno + 1} has {len(tokens)} fields, expected {width}"
             )
         for col, token in enumerate(tokens):
-            if _parse_cell(token) is None:
+            value = _parse_cell(token)
+            if value is None or not math.isfinite(value):
                 raise ValueError(
                     f"{path}: row {lineno + 1}, column {col + 1}: non-numeric value {token!r}"
                 )
@@ -65,9 +65,11 @@ def _raise_first_bad_row(path: str, lines, first: int, width: int):
 def read_signal_csv(path: str) -> SignalMatrix:
     """Read a samples-by-channels CSV into a SignalMatrix.
 
-    A single header row is skipped when any first-row field is
-    non-numeric. Ragged rows and non-numeric cells are errors naming the
-    offending row and column (1-based, counting the header).
+    A single header row is skipped when any first-row field is not a
+    number to ``float`` ("nan" and "inf" are numbers, so a first row
+    holding them is data, and an error). Ragged rows and non-numeric or
+    non-finite cells are errors naming the offending row and column
+    (1-based, counting the header).
 
     Rows are parsed a chunk at a time; a chunk that fails is scanned again
     row by row, so the error is the first one in file order.
@@ -193,9 +195,10 @@ def _build_block_model(family: str, size: int, thetas, rhos):
 
 
 def _dump_json(obj, path: str):
+    # serialized before the file opens, so a non-finite value leaves no file
+    text = json.dumps(obj, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +228,10 @@ def cmd_synth(args) -> int:
     copula = FactorialCopula(partition, tuple(models))
 
     margin_names = _split_per_block(args.margins, n, "margins")
-    for name in margin_names:
-        if name not in MARGIN_NAMES:
-            raise ValueError(f"unknown margin '{name}'; expected one of {MARGIN_NAMES}")
-
     u = copula.sample(t, seed=args.seed)
     sources = np.empty((n, t))
     for i, name in enumerate(margin_names):
-        sources[i] = margin_ppf(name, MARGIN_DEFAULTS[name], u.values[i])
+        sources[i] = margin_ppf(name, MARGIN_PARAMS, u.values[i])
 
     if args.mix == "identity":
         mixing = np.eye(n)
@@ -256,9 +255,7 @@ def cmd_synth(args) -> int:
         "mixing": mixing.tolist(),
         "partition": _partition_to_json(partition),
         "copula": copula_to_json(copula, tuple(range(n))),
-        "margins": [
-            {"name": name, "params": list(MARGIN_DEFAULTS[name])} for name in margin_names
-        ],
+        "margins": [{"name": name, "params": list(MARGIN_PARAMS)} for name in margin_names],
     }
     _dump_json(truth, args.truth_out)
     return EXIT_OK

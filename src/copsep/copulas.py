@@ -171,8 +171,8 @@ class ClaytonCopula(Copula):
     _theta_floor = 0.0
 
     def __post_init__(self):
-        if not self.theta > 0.0:
-            raise ValueError(f"clayton needs theta > 0, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError(f"clayton needs theta > 0 and finite, got {self.theta}")
         if self.dim < 2:
             raise ValueError("clayton needs dimension at least 2")
         object.__setattr__(self, "theta", float(self.theta))
@@ -232,8 +232,8 @@ class GumbelCopula(Copula):
     def __post_init__(self):
         if self.dim != 2:
             raise ValueError(f"gumbel needs exactly 2 channels, got {self.dim}")
-        if not self.theta >= 1.0:
-            raise ValueError(f"gumbel needs theta >= 1, got {self.theta}")
+        if not 1.0 <= self.theta < math.inf:
+            raise ValueError(f"gumbel needs theta >= 1 and finite, got {self.theta}")
         object.__setattr__(self, "theta", float(self.theta))
 
     @property
@@ -450,14 +450,21 @@ def mean_pairwise_tau(pseudo: PseudoObservations) -> float:
     return float(np.mean(taus))
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    """Deterministic golden-section maximizer on [lo, hi]."""
+# Golden-section tolerance on theta, and how many times an optimum on an
+# interior bracket edge widens that side fourfold before the fit gives up.
+_THETA_TOL = 1e-6
+_BRACKET_WIDENINGS = 4
+
+
+def _golden_section_max(f, lo: float, hi: float) -> float:
+    """Deterministic golden-section maximizer on [lo, hi], to a bracket of
+    _THETA_TOL."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > _THETA_TOL:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -472,12 +479,6 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
 def _theta_from_tau(family: str, tau):
     """Kendall-tau inversion: clayton 2 tau / (1 - tau), gumbel 1 / (1 - tau)."""
     return 2.0 * tau / (1.0 - tau) if family == "clayton" else 1.0 / (1.0 - tau)
-
-
-# Golden-section tolerance on theta, and how many times an optimum on an
-# interior bracket edge widens that side fourfold before the fit gives up.
-_THETA_TOL = 1e-6
-_BRACKET_WIDENINGS = 4
 
 
 def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
@@ -512,7 +513,7 @@ def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
 
     lo, hi = max(floor, theta0 / 4.0), 4.0 * theta0
     for _ in range(_BRACKET_WIDENINGS + 1):
-        theta = _golden_section_max(mean_log_density, lo, hi, _THETA_TOL)
+        theta = _golden_section_max(mean_log_density, lo, hi)
         if theta - lo <= _THETA_TOL and lo > floor:
             lo = max(floor, lo / 4.0)
         elif hi - theta <= _THETA_TOL:

@@ -12,7 +12,8 @@ from .signals import SignalMatrix
 
 __all__ = ["fastica", "normalize_components", "mutual_information"]
 
-NONLINEARITIES = ("tanh", "cube")
+# fastica's convergence threshold on max | |diag(W_new W^T)| - 1 |.
+_TOL = 1e-6
 
 
 def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
@@ -31,24 +32,15 @@ def _check_whitened(z: SignalMatrix):
         raise ValueError(f"input is not whitened: max |cov - I| = {err:.3e}")
 
 
-def fastica(
-    z: SignalMatrix,
-    nonlinearity: str = "tanh",
-    tol: float = 1e-6,
-    max_iter: int = 200,
-    seed: int = 0,
-):
+def fastica(z: SignalMatrix, max_iter: int = 200, seed: int = 0):
     """Estimate an orthogonal rotation making the rows of ``z`` maximally
-    non-Gaussian, via the fixed-point iteration with symmetric decorrelation.
+    non-Gaussian, via the fixed-point iteration with symmetric decorrelation
+    and the tanh contrast derivative.
 
     Parameters
     ----------
     z : SignalMatrix
         Whitened input (sample covariance within 1e-6 of the identity).
-    nonlinearity : {"tanh", "cube"}
-        Contrast derivative used in the update.
-    tol : float
-        Convergence threshold on max | |diag(W_new W^T)| - 1 |.
     max_iter : int
         Iteration budget.
     seed : int
@@ -62,13 +54,9 @@ def fastica(
     Raises
     ------
     NonConvergenceError
-        If the tolerance is not reached within ``max_iter`` iterations;
-        carries ``iterations`` and ``last_delta``.
+        If max | |diag(W_new W^T)| - 1 | does not fall below 1e-6 within
+        ``max_iter`` iterations; carries ``iterations`` and ``last_delta``.
     """
-    if nonlinearity not in NONLINEARITIES:
-        raise ValueError(f"unknown nonlinearity '{nonlinearity}'; expected one of {NONLINEARITIES}")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"need at least one iteration, got {max_iter}")
     _check_whitened(z)
@@ -80,19 +68,15 @@ def fastica(
     delta = np.inf
     for iteration in range(1, max_iter + 1):
         y = w @ z.values
-        if nonlinearity == "tanh":
-            g = np.tanh(y)
-            g_prime_mean = (1.0 - g * g).mean(axis=1)
-        else:
-            g = y ** 3
-            g_prime_mean = 3.0 * (y * y).mean(axis=1)
+        g = np.tanh(y)
+        g_prime_mean = (1.0 - g * g).mean(axis=1)
         w_new = _sym_decorrelate(g @ z.values.T / t - g_prime_mean[:, None] * w)
         delta = float(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0).max())
         w = w_new
-        if delta < tol:
+        if delta < _TOL:
             return w, iteration
     raise NonConvergenceError(
-        f"no convergence after {max_iter} iterations (last delta {delta:.3e} > tol {tol:.1e})",
+        f"no convergence after {max_iter} iterations (last delta {delta:.3e} > tol {_TOL:.1e})",
         iterations=max_iter,
         last_delta=delta,
     )

@@ -136,7 +136,7 @@ def select_family(pseudo: PseudoObservations, menu) -> str:
     menu = _check_menu(menu)
     if pseudo.n_channels < 2:
         raise ValueError("family selection needs a block of dimension at least 2")
-    return _best_orientation(pseudo, _tau_matrix(pseudo.values), menu, orient=False)[1].family
+    return _best_orientation(pseudo, menu, orient=False)[1].family
 
 
 def _tau_matrix(values: np.ndarray) -> np.ndarray:
@@ -167,35 +167,36 @@ def _rank_correlations(u: np.ndarray):
 
 
 def _detection_threshold(n_channels: int, n_samples: int) -> float:
-    """The |rho| above which ``fit_dependence`` joins two channels (see
+    """The |rho| above which ``detect_partition`` joins two channels (see
     _FAMILY_WISE_LEVEL)."""
     tests = max(1, n_channels * (n_channels - 1))
     return float(-ndtri(_FAMILY_WISE_LEVEL / (2 * tests)) / np.sqrt(n_samples - 1))
 
 
-def detect_partition(pseudo: PseudoObservations, threshold: float) -> BlockPartition:
+def detect_partition(pseudo: PseudoObservations) -> BlockPartition:
     """Group channels into blocks: connected components of the graph with
     an edge wherever Spearman's |rho| of the pseudo-observations, or the
     energy rank correlation |rho(|u_i - 1/2|, |u_j - 1/2|)|, exceeds the
-    threshold.
+    threshold z / sqrt(T - 1) worked out from the sample count T and the
+    channel count n: z is the Bonferroni normal quantile over the
+    2 C(n, 2) plain and energy tests at the family-wise level
+    _FAMILY_WISE_LEVEL.
 
     The energy term is the grouping criterion of multidimensional ICA: a
     dependent pair that whitening has decorrelated keeps almost no plain
     rank correlation, but its components still grow large together. Both
-    terms use the pseudo-observations only; ``fit_dependence`` passes the
-    threshold it works out from the sample and channel counts.
+    terms use the pseudo-observations only.
     """
     if pseudo.n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {pseudo.n_samples}")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie inside (0, 1), got {threshold}")
+    threshold = _detection_threshold(pseudo.n_channels, pseudo.n_samples)
     plain, energy = _rank_correlations(pseudo.values)
     edges = (np.abs(plain) > threshold) | (np.abs(energy) > threshold)
     n_blocks, labels = connected_components(edges, directed=False)
     return BlockPartition(tuple(np.flatnonzero(labels == k) for k in range(n_blocks)), pseudo.n_channels)
 
 
-def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu, orient: bool = True):
+def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
     """Resolve the sign indeterminacy of a dependent block and fit it.
 
     Rotation estimation fixes component signs by a convention that is
@@ -205,8 +206,8 @@ def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu, orient:
     prefer fewer flips, then the earlier pattern, and within a pattern
     the earlier family in the menu.
 
-    Each piece of work is done once per block. ``tau`` is the block's
-    Kendall-tau matrix: a pattern s turns entry (i, j) into
+    Each piece of work is done once per block. The block's Kendall-tau
+    matrix is computed once: a pattern s turns entry (i, j) into
     s_i s_j tau_ij exactly, because tau's numerator is an integer.
     Flipped rows get 1 - u, which equals, up to rounding, the
     pseudo-observations of the negated components. Product and gaussian
@@ -232,6 +233,7 @@ def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu, orient:
             model = fit_copula(pseudo, family)
             invariant.append((_penalized_score(model, pseudo.values), pos, model))
     patterns = list(_cartesian((False, True), repeat=d)) if asymmetric and orient else [(False,) * d]
+    tau = _tau_matrix(pseudo.values)
     upper = np.triu_indices(d, 1)
     flipped = 1.0 - pseudo.values
     best = None
@@ -258,10 +260,10 @@ def _best_orientation(pseudo: PseudoObservations, tau: np.ndarray, menu, orient:
 
 
 def _fit_block(pseudo: PseudoObservations, block, menu):
-    """Orientation and copula of one block (see ``_best_orientation``),
-    from its Kendall-tau matrix; failures name the block."""
+    """Orientation and copula of one block (see ``_best_orientation``);
+    failures name the block."""
     try:
-        return _best_orientation(pseudo, _tau_matrix(pseudo.values), menu)
+        return _best_orientation(pseudo, menu)
     except CopsepError as err:
         raise BlockFitError(f"block {block}: {err}", block=block) from err
 
@@ -271,10 +273,7 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
     per non-singleton block.
 
     Without an explicit partition, the components are grouped by
-    ``detect_partition`` at the threshold z / sqrt(T - 1) worked out from
-    the sample count T and the channel count n: z is the Bonferroni
-    normal quantile over the 2 C(n, 2) plain and energy tests at the
-    family-wise level _FAMILY_WISE_LEVEL. The sources are ranked once.
+    ``detect_partition``. The sources are ranked once.
     Kendall tau is computed only inside the non-singleton blocks, once
     per pair, and each such block gets one orientation search that
     returns the fitted copula with the winning sign pattern (see
@@ -290,7 +289,7 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
     pseudo = pseudo_observations(sources)
     n = sources.n_channels
     if partition is None:
-        partition = detect_partition(pseudo, _detection_threshold(n, pseudo.n_samples))
+        partition = detect_partition(pseudo)
     elif partition.n_channels != n:
         raise ValueError(f"partition covers {partition.n_channels} channels, data has {n}")
 
@@ -379,6 +378,17 @@ def _transformed_log_likelihood(y: np.ndarray, angles, model: Copula) -> float:
     return np.log(det) + _pair_log_likelihood(_unit_rows(angles) @ y, model)
 
 
+def _polish_log_likelihood(y: np.ndarray, p, cls) -> float:
+    """``_transformed_log_likelihood`` of y at the angles p[:2] under the
+    family ``cls`` with theta = cls._theta_floor + exp(p[2]), p
+    unconstrained; -inf where exp overflows."""
+    with np.errstate(over="ignore"):
+        theta = cls._theta_floor + np.exp(p[2])
+    if not np.isfinite(theta):
+        return -np.inf
+    return _transformed_log_likelihood(y, p[:2], cls(theta, 2))
+
+
 def _refine_pair(y: np.ndarray, families):
     """Maximum-likelihood within-block transform of one dependent pair.
 
@@ -435,19 +445,13 @@ def _refine_pair(y: np.ndarray, families):
             if np.isfinite(score):
                 scored.append((score, i * step, (i + k) * step, model.theta))
         scored.sort(key=lambda item: -item[0])
-        # theta = floor + exp(b), b unconstrained
-        floor = cls._theta_floor
-
-        def negative(p):
-            return -_transformed_log_likelihood(polish, p[:2], cls(floor + np.exp(p[2]), 2))
-
         best = None
         for _, a1, a2, theta in scored[:_POLISH_STARTS]:
-            start = np.array([a1, a2, np.log(theta - floor)])
+            start = np.array([a1, a2, np.log(theta - cls._theta_floor)])
             simplex = np.vstack([start, start + np.diag([step / 2.0, step / 2.0, 0.2])])
-            x = minimize(negative, start, method="Nelder-Mead",
+            x = minimize(lambda p: -_polish_log_likelihood(polish, p, cls), start, method="Nelder-Mead",
                          options={"initial_simplex": simplex, "xatol": 5e-3, "fatol": 1e-5}).x
-            value = _transformed_log_likelihood(y, x[:2], cls(floor + np.exp(x[2]), 2))
+            value = _polish_log_likelihood(y, x, cls)
             if np.isfinite(value) and (best is None or value > best[0]):
                 best = (value, _unit_rows(x[:2]))
         if best is not None:
@@ -515,10 +519,9 @@ def cca_fit(
 ):
     """Run the full two-phase fit on raw observations.
 
-    Phase 1 centers, whitens, and estimates a canonical rotation (fastica
-    with its default nonlinearity and tolerance); phase 2
-    partitions the recovered components and fits per-block copulas
-    (see :func:`fit_dependence`). Whitening decorrelates a dependent
+    Phase 1 centers, whitens, and estimates a canonical rotation
+    (fastica); phase 2 partitions the recovered components and fits
+    per-block copulas (see :func:`fit_dependence`). Whitening decorrelates a dependent
     pair, so each dependent pair then gets a within-block transform by
     maximum likelihood (margins by m-spacing entropy, dependence by the
     copula), and the copulas are refitted on the transformed pair with

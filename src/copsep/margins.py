@@ -95,12 +95,23 @@ def pseudo_observations(signals: SignalMatrix) -> PseudoObservations:
     return PseudoObservations(ranks / (signals.n_samples + 1))
 
 
+def _bin_count(x: np.ndarray) -> int:
+    """numpy's Freedman-Diaconis bin count for the row x, capped at its
+    length T. Below the cap the edges equal numpy's ``bins="fd"`` ones;
+    the cap keeps one far outlier from asking for millions of bins."""
+    width = 2.0 * np.subtract(*np.percentile(x, [75, 25])) * x.size ** (-1.0 / 3.0)
+    if not width:
+        return 1
+    return int(min(np.ceil((x.max() - x.min()) / width), x.size))
+
+
 @dataclass(frozen=True, eq=False)
 class MarginalModel:
     """Empirical margins: order statistics plus a histogram density.
 
     ``bin_edges[i]`` and ``bin_probs[i]`` describe channel i's histogram
-    (Freedman-Diaconis bins); probabilities sum to one per channel.
+    (Freedman-Diaconis bins, at most T of them; see ``_bin_count``);
+    probabilities sum to one per channel.
     """
 
     sorted_values: np.ndarray
@@ -139,7 +150,7 @@ class MarginalModel:
         probs = []
         for i in range(n):
             x = signals.values[i]
-            counts, e = np.histogram(x, bins=np.histogram_bin_edges(x, bins="fd"))
+            counts, e = np.histogram(x, bins=_bin_count(x))
             edges.append(e)
             probs.append(counts / t)
         return cls(np.sort(signals.values, axis=1), tuple(edges), tuple(probs))

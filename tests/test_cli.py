@@ -80,6 +80,13 @@ class TestCsvIo:
         with pytest.raises(ValueError, match="row 2, column 2"):
             read_signal_csv(path)
 
+    def test_nan_in_first_row_is_data_not_header(self, tmp_path):
+        # "nan" is a number to float(), so row 1 is data, and a bad row
+        path = tmp_path / "x.csv"
+        path.write_text("1.0,nan,2.0\n3,4,5\n6,7,8\n")
+        with pytest.raises(ValueError, match="row 1, column 2: non-numeric value 'nan'"):
+            read_signal_csv(path)
+
 
 def per_cell_csv(values: np.ndarray, header: bool) -> bytes:
     """The CSV bytes of a samples-by-channels file written one cell at a time."""
@@ -217,6 +224,18 @@ class TestSynth:
         )
         assert code == 2
         assert "theta > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, domain", [("clayton", "theta > 0"), ("gumbel", "theta >= 1")])
+    def test_infinite_theta_exits_2_without_files(self, tmp_path, capsys, family, domain):
+        code = run(
+            "synth", "--channels", 3, "--samples", 100, "--partition", "1,2|3",
+            "--copula", family, "--theta", "inf", "--out", tmp_path / "d.csv",
+            "--truth-out", tmp_path / "t.json",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert domain in err and "finite" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_gumbel_needs_pair_block(self, tmp_path, capsys):
         code = run(

@@ -200,6 +200,11 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="theta >= 1"):
             GumbelCopula(0.8)
 
+    @pytest.mark.parametrize("cls, domain", [(ClaytonCopula, "theta > 0"), (GumbelCopula, "theta >= 1")])
+    def test_theta_must_be_finite(self, cls, domain):
+        with pytest.raises(ValueError, match=domain):
+            cls(np.inf, 2)
+
     def test_gumbel_is_bivariate_only(self):
         assert GumbelCopula(2.0).dim == GumbelCopula(2.0, 2).dim == 2
         with pytest.raises(ValueError, match="2 channels"):

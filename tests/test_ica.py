@@ -42,18 +42,13 @@ class TestFastica:
         rotation, _ = fastica(z, seed=seed)
         assert amari_index(rotation @ wh) < 0.05
 
-    def test_cube_nonlinearity(self):
-        z, wh = whiten_uniform_pair(7)
-        rotation, _ = fastica(z, nonlinearity="cube", seed=7)
-        assert amari_index(rotation @ wh @ rotation2(45.0)) < 0.05
-
     def test_gaussian_pair_either_converges_or_errors(self):
         # rotation is unidentifiable for gaussian sources: accept an
         # arbitrary orthogonal rotation or a non-convergence error
         rng = np.random.default_rng(1234)
         z, _, _ = center_and_whiten(SignalMatrix(rng.standard_normal((2, 5000))))
         try:
-            rotation, iterations = fastica(z, tol=1e-6, max_iter=50, seed=0)
+            rotation, iterations = fastica(z, max_iter=50, seed=0)
         except NonConvergenceError as err:
             assert err.iterations == 50
             assert err.last_delta > 1e-6
@@ -64,10 +59,10 @@ class TestFastica:
     def test_non_convergence_error_carries_state(self):
         z, _ = whiten_uniform_pair(3)
         with pytest.raises(NonConvergenceError) as exc_info:
-            fastica(z, tol=1e-12, max_iter=2, seed=0)
+            fastica(z, max_iter=2, seed=0)
         err = exc_info.value
         assert err.iterations == 2
-        assert err.last_delta > 1e-12
+        assert err.last_delta > 1e-6
         assert "2 iterations" in str(err)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -92,10 +87,6 @@ class TestFastica:
 
     def test_rejects_bad_config(self):
         z, _ = whiten_uniform_pair(6)
-        with pytest.raises(ValueError, match="nonlinearity"):
-            fastica(z, nonlinearity="sigmoid")
-        with pytest.raises(ValueError, match="tolerance"):
-            fastica(z, tol=0.0)
         with pytest.raises(ValueError, match="iteration"):
             fastica(z, max_iter=0)
 

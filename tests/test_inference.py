@@ -38,7 +38,7 @@ from copsep import (
 from copsep import cli, copulas, inference, margins
 from copsep.exceptions import BlockFitError, FamilyDomainError
 from copsep.copulas import FAMILY_NAMES, _THETA_TOL
-from copsep.inference import FitReport, _best_orientation, _rank_correlations, _tau_matrix
+from copsep.inference import FitReport, _best_orientation, _rank_correlations
 from copsep.margins import MarginalModel, PseudoObservations, margin_ppf
 
 
@@ -117,25 +117,20 @@ class TestDetectPartition:
     @pytest.mark.parametrize("seed", range(3))
     def test_dependent_pair_detected(self, seed):
         s = clayton_laplace_sources(seed, t=5000)
-        part = detect_partition(pseudo_observations(s), 0.1)
+        part = detect_partition(pseudo_observations(s))
         assert part.blocks == ((0, 1), (2,))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_whitened_pair_detected_by_energy_correlation(self, seed):
         # whitening leaves the pair a plain rank tau below 0.03
         z, _, _ = center_and_whiten(clayton_laplace_sources(seed, t=5000))
-        part = detect_partition(pseudo_observations(z), 0.1)
+        part = detect_partition(pseudo_observations(z))
         assert part.blocks == ((0, 1), (2,))
 
     def test_independent_channels_are_singletons(self):
         rng = np.random.default_rng(11)
         u = pseudo_observations(SignalMatrix(rng.random((3, 5000))))
-        assert detect_partition(u, 0.1).blocks == ((0,), (1,), (2,))
-
-    def test_extreme_threshold_gives_singletons(self):
-        s = clayton_laplace_sources(5, t=1000)
-        part = detect_partition(pseudo_observations(s), 0.999)
-        assert part.blocks == ((0,), (1,), (2,))
+        assert detect_partition(u).blocks == ((0,), (1,), (2,))
 
     def test_transitive_grouping(self):
         # chain dependence: 0-1 and 1-2 coupled puts all three in one block
@@ -146,19 +141,13 @@ class TestDetectPartition:
             base + 0.5 * rng.standard_normal(4000),
             base + 0.5 * rng.standard_normal(4000),
         ])
-        part = detect_partition(pseudo_observations(SignalMatrix(values)), 0.1)
+        part = detect_partition(pseudo_observations(SignalMatrix(values)))
         assert part.blocks == ((0, 1, 2),)
-
-    def test_rejects_bad_threshold(self):
-        u = pseudo_observations(SignalMatrix(np.random.default_rng(0).random((2, 200))))
-        for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError, match="threshold"):
-                detect_partition(u, bad)
 
     def test_needs_enough_samples(self):
         u = pseudo_observations(SignalMatrix(np.random.default_rng(0).random((2, 50))))
         with pytest.raises(ValueError, match="100"):
-            detect_partition(u, 0.1)
+            detect_partition(u)
 
 
 def weak_pair_sources(seed, t, clayton=1.0, gumbel=1.5):
@@ -193,6 +182,23 @@ class TestCalibratedDetection:
         plain, energy = _rank_correlations(u)
         assert_allclose(plain, spearmanr(u, axis=1).statistic, rtol=0.0, atol=1e-12)
         assert_allclose(energy, spearmanr(np.abs(u - 0.5), axis=1).statistic, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["plain", "energy"])
+    def test_pair_joins_exactly_above_the_threshold(self, kind):
+        # sweep a pair's dependence from none to about twice the threshold
+        t = 2000
+        threshold = inference._detection_threshold(2, t)
+        rng = np.random.default_rng(61)
+        base, noise = rng.standard_normal((2, t))
+        joined = []
+        for c in np.linspace(0.0, 0.2, 41):
+            other = base * c + noise if kind == "plain" else noise * np.exp(c * np.abs(base))
+            pseudo = pseudo_observations(SignalMatrix(np.vstack([base, other])))
+            plain, energy = _rank_correlations(pseudo.values)
+            above = max(abs(plain[0, 1]), abs(energy[0, 1])) > threshold
+            assert (detect_partition(pseudo).n_blocks == 1) == above, c
+            joined.append(above)
+        assert not joined[0] and joined[-1]
 
     def test_threshold_follows_samples_and_channels(self):
         # z / sqrt(T - 1) with z the Bonferroni quantile over 2 C(n, 2) tests
@@ -462,7 +468,7 @@ class TestFitDependence:
         else:
             values = GaussianCopula(corr2(-0.6)).sample(2000, seed=34).values
         pseudo = pseudo_observations(SignalMatrix(values))
-        pattern, model = _best_orientation(pseudo, _tau_matrix(pseudo.values), FAMILY_NAMES)
+        pattern, model = _best_orientation(pseudo, FAMILY_NAMES)
         ref_pattern, ref_model = brute_force_orientation(pseudo, FAMILY_NAMES)
         assert tuple(pattern) == tuple(ref_pattern)
         assert model.family == ref_model.family
@@ -668,6 +674,15 @@ class TestCcaFit:
         assert fitted == [(0, 1), (0, 1)]
         assert np.array_equal(np.abs(separation.within), np.eye(3))
         assert report.copula.blocks[0].family == "product"
+
+    @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
+    def test_polish_scores_theta_overflow_as_minus_inf(self, cls):
+        # theta = floor + exp(b): Nelder-Mead may step b past exp's range
+        y = np.random.default_rng(26).laplace(size=(2, 500))
+        y = np.linalg.inv(np.linalg.cholesky(np.cov(y))) @ (y - y.mean(axis=1, keepdims=True))
+        angles = [0.0, np.pi / 2.0]
+        assert inference._polish_log_likelihood(y, np.array(angles + [800.0]), cls) == -np.inf
+        assert np.isfinite(inference._polish_log_likelihood(y, np.array(angles + [0.0]), cls))
 
     def test_short_input_fails_before_the_rotation_phase(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -177,6 +177,24 @@ class TestMarginalModel:
         with pytest.raises(ValueError, match="samples"):
             MarginalModel.fit(SignalMatrix(np.ones((1, 3)) * np.arange(3.0)))
 
+    def test_far_outlier_caps_bins_at_sample_count(self):
+        # Freedman-Diaconis alone asks for 1 011 603 bins here
+        x = np.random.default_rng(7).standard_normal(20000)
+        x[0] = 1e5
+        model = MarginalModel.fit(SignalMatrix([x]))
+        assert len(model.bin_probs[0]) == 20000
+        assert model.bin_edges[0][0] == x.min() and model.bin_edges[0][-1] == 1e5
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bins_below_the_cap_are_numpy_fd_bins(self, seed):
+        rng = np.random.default_rng(seed)
+        values = np.vstack([rng.laplace(size=2000), np.round(rng.standard_normal(2000), 1), rng.random(2000) * 1e-5])
+        model = MarginalModel.fit(SignalMatrix(values))
+        for x, edges, probs in zip(values, model.bin_edges, model.bin_probs):
+            counts, expected = np.histogram(x, bins=np.histogram_bin_edges(x, bins="fd"))
+            assert np.array_equal(edges, expected)
+            assert np.array_equal(probs, counts / 2000)
+
 
 class TestSampleMargin:
     def test_uniform_moments(self):
