@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from itertools import repeat
 
 import numpy as np
@@ -57,24 +58,23 @@ def _raise_first_bad_row(path: str, lines, first: int, width: int):
         for col, token in enumerate(tokens):
             value = _parse_cell(token)
             if value is None or not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: row {lineno + 1}, column {col + 1}: non-numeric value {token!r}"
-                )
+                kind = "non-numeric" if value is None else "non-finite"
+                raise ValueError(f"{path}: row {lineno + 1}, column {col + 1}: {kind} value {token!r}")
 
 
 def read_signal_csv(path: str) -> SignalMatrix:
     """Read a samples-by-channels CSV into a SignalMatrix.
 
-    A single header row is skipped when any first-row field is not a
-    number to ``float`` ("nan" and "inf" are numbers, so a first row
-    holding them is data, and an error). Ragged rows and non-numeric or
-    non-finite cells are errors naming the offending row and column
-    (1-based, counting the header).
+    A leading UTF-8 byte order mark is dropped. A single header row is
+    skipped when any first-row field is not a number to ``float`` ("nan"
+    and "inf" are numbers, so a first row holding them is data, and an
+    error). Ragged rows and non-numeric or non-finite cells are errors
+    naming the offending row and column (1-based, counting the header).
 
     Rows are parsed a chunk at a time; a chunk that fails is scanned again
     row by row, so the error is the first one in file order.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
@@ -285,21 +285,23 @@ def cmd_separate(args) -> int:
     return EXIT_OK
 
 
-def _block_error(truth_block: dict, estimate_block: dict):
-    family = truth_block["family"]
-    if family != estimate_block["family"]:
-        return None
+def _block_summary(block: dict):
+    """(family, parameters) of one JSON copula block; a gaussian's are its sorted
+    off-diagonal |correlations|, as the components' signs are ambiguous."""
+    family = block["family"]
     if family in _THETA_FAMILIES:
-        return abs(truth_block["params"]["theta"] - estimate_block["params"]["theta"])
+        return family, np.array(float(block["params"]["theta"]))
     if family == "gaussian":
-        t = np.abs(np.asarray(truth_block["params"]["correlation"], dtype=float))
-        e = np.abs(np.asarray(estimate_block["params"]["correlation"], dtype=float))
-        if t.shape != e.shape:
-            return None
-        off = ~np.eye(t.shape[0], dtype=bool)
-        # orientation of components is sign-ambiguous, compare magnitudes
-        return float(np.abs(np.sort(t[off]) - np.sort(e[off])).max())
-    return 0.0
+        rho = np.abs(np.asarray(block["params"]["correlation"], dtype=float))
+        return family, np.sort(rho[~np.eye(len(rho), dtype=bool)])
+    return family, np.zeros(0)
+
+
+def _block_error(truth, estimate):
+    (family, t), (estimate_family, e) = truth, estimate
+    if family != estimate_family or t.shape != e.shape:
+        return None
+    return float(np.abs(t - e).max(initial=0.0))
 
 
 def _json_partition(blocks, n: int, where: str) -> BlockPartition:
@@ -311,6 +313,23 @@ def _json_partition(blocks, n: int, where: str) -> BlockPartition:
         raise ValueError(f"{where} {blocks} does not partition channels 1..{n} (0-based: {err})") from None
 
 
+def _copula_blocks(doc: dict, n: int, path: str) -> dict:
+    """Summaries of the copula blocks of a truth or estimate document, by
+    their sorted 0-based channels, which must partition channels 1..n."""
+    blocks = doc["copula"]["params"]["blocks"]
+    _json_partition([b["channels"] for b in blocks], n, f"{path}: copula channels")
+    return {tuple(sorted(int(i) - 1 for i in b["channels"])): _block_summary(b) for b in blocks}
+
+
+@contextmanager
+def _fields_of(path: str):
+    # only here are these errors invalid input: a JSON field of the wrong type or shape
+    try:
+        yield
+    except (TypeError, IndexError) as err:
+        raise ValueError(f"{path}: a field has the wrong type or shape ({err})") from None
+
+
 def cmd_evaluate(args) -> int:
     with open(args.estimate, "r", encoding="utf-8") as fh:
         estimate = json.load(fh)
@@ -318,20 +337,21 @@ def cmd_evaluate(args) -> int:
         truth = json.load(fh)
     data = read_signal_csv(args.data)
 
-    n = int(truth["channels"])
-    demixing = np.asarray(estimate["demixing"], dtype=float)
-    mixing = np.asarray(truth["mixing"], dtype=float)
-    if demixing.shape != (n, n) or mixing.shape != (n, n):
-        raise ValueError(
-            f"channel mismatch: truth has {n} channels, demixing {demixing.shape}, mixing {mixing.shape}"
-        )
+    with _fields_of(args.truth):
+        n = int(truth["channels"])
+        mixing = np.asarray(truth["mixing"], dtype=float)
+        truth_blocks = _copula_blocks(truth, n, args.truth)
+        truth_partition = _json_partition(truth["partition"], n, f"{args.truth}: partition")
+    with _fields_of(args.estimate):
+        demixing = np.asarray(estimate["demixing"], dtype=float)
+        if demixing.shape != (n, n) or mixing.shape != (n, n):
+            raise ValueError(
+                f"channel mismatch: truth has {n} channels, demixing {demixing.shape}, mixing {mixing.shape}"
+            )
+        estimate_blocks = _copula_blocks(estimate, n, args.estimate)
+        estimate_partition = _json_partition(estimate["partition"], n, f"{args.estimate}: partition")
     if data.n_channels != n:
         raise ValueError(f"{args.data}: expected {n} channels, got {data.n_channels}")
-
-    for path, doc in ((args.estimate, estimate), (args.truth, truth)):
-        _json_partition([b["channels"] for b in doc["copula"]["params"]["blocks"]], n, f"{path}: copula channels")
-    estimate_partition = _json_partition(estimate["partition"], n, f"{args.estimate}: partition")
-    truth_partition = _json_partition(truth["partition"], n, f"{args.truth}: partition")
 
     gain = demixing @ mixing
     perm = align_permutation(gain)
@@ -341,21 +361,16 @@ def cmd_evaluate(args) -> int:
     mapped = BlockPartition(tuple(perm[list(block)] for block in estimate_partition.blocks), n)
     partition_match = mapped == truth_partition
 
-    est_by_channels = {}
-    for block in estimate["copula"]["params"]["blocks"]:
-        mapped = tuple(sorted(int(perm[i - 1]) + 1 for i in block["channels"]))
-        est_by_channels[mapped] = block
+    est_by_channels = {tuple(sorted(perm[list(c)])): block for c, block in estimate_blocks.items()}
     block_errors = []
-    for block in truth["copula"]["params"]["blocks"]:
-        channels = tuple(sorted(block["channels"]))
+    for channels, block in truth_blocks.items():
         match = est_by_channels.get(channels)
-        entry = {
-            "channels": list(channels),
-            "family_truth": block["family"],
-            "family_estimate": match["family"] if match else None,
+        block_errors.append({
+            "channels": [i + 1 for i in channels],
+            "family_truth": block[0],
+            "family_estimate": match[0] if match else None,
             "abs_error": _block_error(block, match) if match else None,
-        }
-        block_errors.append(entry)
+        })
 
     metrics = {
         "amari_index": amari_index(gain),

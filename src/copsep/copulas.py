@@ -5,6 +5,8 @@ Families: Product (independence), Gaussian (correlation matrix), Clayton
 (positive dependence, any dimension), Gumbel (bivariate), and Factorial
 (independent blocks, one sub-copula per block). Densities are evaluated in
 log space so extreme parameters and near-boundary points stay finite.
+Clayton and Gumbel sample in one pass by Marshall-Olkin frailty: gamma for
+Clayton, positive stable (Kanter's formula) for Gumbel.
 """
 from __future__ import annotations
 
@@ -222,6 +224,7 @@ class GumbelCopula(Copula):
 
     C(u,v) = exp(-((-ln u)^theta + (-ln v)^theta)^{1/theta}).
     ``dim`` accepts only 2; it lets gumbel be built like clayton, ``(theta, dim)``.
+    Sampled by Marshall-Olkin with a positive-stable frailty of index 1/theta.
     """
 
     theta: float
@@ -271,33 +274,17 @@ class GumbelCopula(Copula):
     def _log_density(self, pts):
         return self._log_density_of(self._log_terms(pts))
 
-    def _conditional_log(self, x, y):
-        # log of d/du C(u,v) at x=-ln u, y=-ln v, elementwise; decreasing in y from 0 to -inf
-        th = self.theta
-        log_x = np.log(x)
-        log_s = np.logaddexp(th * log_x, th * np.log(y))
-        return -np.exp(log_s / th) + (th - 1.0) * log_x + (1.0 / th - 1.0) * log_s + x
-
     def _sample(self, n, rng):
-        # conditional inversion: solve d/du C(u,v) = p for y = -ln v by one
-        # bisection over all draws on [1e-18, 740], to a bracket of 1e-10
-        u = rng.uniform(2.0 ** -53, 1.0, n)
-        p = rng.uniform(2.0 ** -53, 1.0, n)
-        x = -np.log(u)
-        target = np.log(p)
-        lo = np.full(n, 1e-18)
-        hi = np.full(n, 740.0)
-        if np.any(self._conditional_log(x, lo) < target) or np.any(self._conditional_log(x, hi) > target):
-            raise ValueError("gumbel conditional equation has no root in [1e-18, 740]")
-        width = hi[0] - lo[0]
-        while width > 1e-10:
-            mid = 0.5 * (lo + hi)
-            above = self._conditional_log(x, mid) > target
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-            width *= 0.5
-        v = np.exp(-0.5 * (lo + hi))
-        return np.clip(np.vstack([u, v]), _U_LO, _U_HI)
+        # Marshall-Olkin frailty as for clayton: u_i = exp(-(e_i / v)^a) with v
+        # positive stable of index a = 1/theta, by Kanter's formula from a
+        # uniform angle and -log w, w ~ Exp(1), which rng.gumbel draws finite.
+        a = 1.0 / self.theta
+        angle = np.pi * rng.uniform(2.0 ** -53, 1.0, n)
+        a_log_v = a * np.log(np.sin(a * angle)) - np.log(np.sin(angle))
+        if a < 1.0:
+            a_log_v += (1.0 - a) * (np.log(np.sin((1.0 - a) * angle)) + rng.gumbel(0.0, 1.0, n))
+        e = rng.exponential(1.0, (2, n))
+        return np.clip(np.exp(-e ** a * np.exp(-a_log_v)), _U_LO, _U_HI)
 
 
 @dataclass(frozen=True, eq=False)

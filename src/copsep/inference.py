@@ -67,15 +67,10 @@ _POLISH_SAMPLES = 5000
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    """Outcome of a full two-phase fit.
-
-    divergence = mutual_information + copula_entropy holds exactly by
-    construction; all quantities are in nats.
-    """
+    """Outcome of a full two-phase fit; all quantities are in nats."""
 
     mutual_information: float
     copula_entropy: float
-    divergence: float
     log_likelihood: float
     partition: BlockPartition
     copula: FactorialCopula
@@ -84,11 +79,14 @@ class FitReport:
     density_floor_hit: bool
 
     def __post_init__(self):
-        if self.divergence != self.mutual_information + self.copula_entropy:
-            raise ValueError("divergence must equal mutual_information + copula_entropy")
         for name in ("mutual_information", "copula_entropy", "divergence", "log_likelihood"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} is not finite")
+
+    @property
+    def divergence(self) -> float:
+        """mutual_information + copula_entropy, exactly."""
+        return self.mutual_information + self.copula_entropy
 
 
 def _parameter_count(model: Copula) -> int:
@@ -557,7 +555,6 @@ def cca_fit(
     report = FitReport(
         mutual_information=info,
         copula_entropy=entropy,
-        divergence=info + entropy,
         log_likelihood=_mean_log_likelihood(margin_log_density, copula, pseudo),
         partition=part,
         copula=copula,

@@ -84,8 +84,19 @@ class TestCsvIo:
         # "nan" is a number to float(), so row 1 is data, and a bad row
         path = tmp_path / "x.csv"
         path.write_text("1.0,nan,2.0\n3,4,5\n6,7,8\n")
-        with pytest.raises(ValueError, match="row 1, column 2: non-numeric value 'nan'"):
+        with pytest.raises(ValueError, match="row 1, column 2: non-finite value 'nan'"):
             read_signal_csv(path)
+
+    def test_byte_order_mark_keeps_first_data_row(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a BOM
+        path = tmp_path / "x.csv"
+        path.write_bytes("\ufeff1.5,2\n3,4\n5,6\n".encode("utf-8"))
+        assert np.array_equal(read_signal_csv(path).values, [[1.5, 3.0, 5.0], [2.0, 4.0, 6.0]])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes("\ufeffc1,c2\n3,4\n5,6\n".encode("utf-8"))
+        assert np.array_equal(read_signal_csv(path).values, [[3.0, 5.0], [4.0, 6.0]])
 
 
 def per_cell_csv(values: np.ndarray, header: bool) -> bytes:
@@ -149,7 +160,8 @@ class TestCsvChunks:
         rows[4999] = f"1,{cell},3"
         path = tmp_path / "x.csv"
         write_rows(path, rows)
-        message = f"{path}: row 5000, column 2: non-numeric value {cell!r}"
+        kind = "non-numeric" if cell in ("oops", "") else "non-finite"
+        message = f"{path}: row 5000, column 2: {kind} value {cell!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_signal_csv(path)
 
@@ -158,7 +170,7 @@ class TestCsvChunks:
         rows[5000] = "1,2,3,4"
         path = tmp_path / "x.csv"
         write_rows(path, rows)
-        message = f"{path}: row 5000, column 3: non-numeric value 'nan'"
+        message = f"{path}: row 5000, column 3: non-finite value 'nan'"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_signal_csv(path)
 
@@ -525,6 +537,50 @@ class TestEvaluate:
         )
         assert code == 2
         assert "does not partition channels 1..3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, patch",
+        [
+            ("truth", {"channels": None}),
+            ("truth", []),
+            ("truth", {"partition": 3}),
+            ("estimate", {"partition": [1, 2]}),
+            ("estimate", {"copula": {"params": {"blocks": [
+                {"family": "gaussian", "params": {"correlation": [1.0, 0.5]}, "channels": [1, 2]},
+            ]}}}),
+        ],
+        ids=["null-channels", "bare-list", "number-partition", "flat-partition", "flat-correlation"],
+    )
+    def test_wrong_typed_json_exits_2_without_metrics(self, tmp_path, capsys, document, patch):
+        # a field of the wrong type or shape is invalid input naming its file, not a traceback
+        data = tmp_path / "d.csv"
+        truth_path = tmp_path / "t.json"
+        assert run(
+            "synth", "--channels", 2, "--samples", 300, "--mix", "identity",
+            "--seed", 6, "--out", data, "--truth-out", truth_path,
+        ) == 0
+        valid = json.loads(truth_path.read_text())
+        estimate = {
+            "demixing": np.eye(2).tolist(),
+            "partition": valid["partition"],
+            "copula": valid["copula"],
+            "divergence": 0.0,
+            "log_likelihood": -1.0,
+        }
+        estimate_path = tmp_path / "est.json"
+        paths = {"estimate": estimate_path, "truth": truth_path}
+        docs = {"estimate": estimate, "truth": valid}
+        docs[document] = {**docs[document], **patch} if isinstance(patch, dict) else patch
+        for name, path in paths.items():
+            path.write_text(json.dumps(docs[name]))
+        metrics_path = tmp_path / "m.json"
+        code = run(
+            "evaluate", "--estimate", estimate_path, "--truth", truth_path,
+            "--data", data, "--out", metrics_path,
+        )
+        assert code == 2
+        assert f"{paths[document]}: a field has the wrong type or shape" in capsys.readouterr().err
+        assert not metrics_path.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         code = run(

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq
+from scipy.special import xlogy
+from scipy.stats import kstest
 
 from copsep import (
     BlockPartition,
@@ -248,24 +251,27 @@ class TestSampling:
         u = GumbelCopula(2.0).sample(5000, seed=4)
         assert kendall_tau(u.values[0], u.values[1]) == pytest.approx(0.5, abs=0.03)
 
-    @pytest.mark.parametrize("theta", [1.0, 2.5])
-    def test_gumbel_sampler_matches_per_draw_root_finding(self, theta):
-        # reference: solve dC/du(u, v) = p for each draw on the same uniforms
+    @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0, 5.0, 30.0])
+    def test_gumbel_sampler_distribution(self, theta):
+        # C(U, V) follows Kendall's distribution K(t) = t - t ln t / theta,
+        # and the empirical copula follows the closed-form cdf
         model = GumbelCopula(theta)
-        drawn = model.sample(200, seed=5).values
-        rng = np.random.default_rng(5)
-        u = rng.uniform(2.0 ** -53, 1.0, 200)
-        p = rng.uniform(2.0 ** -53, 1.0, 200)
-        x = -np.log(u)
+        u = model.sample(100_000, seed=11).values
+        level = model.cdf(u)
+        assert kstest(level, lambda t: t - xlogy(t, t) / theta).pvalue > 1e-3
+        for a in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for b in (0.2, 0.5, 0.8):
+                empirical = np.mean((u[0] <= a) & (u[1] <= b))
+                assert abs(empirical - model.cdf([a, b])) < 0.01
 
-        def log_conditional(y, t):
-            log_s = np.logaddexp(theta * np.log(x[t]), theta * np.log(y))
-            return -np.exp(log_s / theta) + (theta - 1.0) * np.log(x[t]) + (1.0 / theta - 1.0) * log_s + x[t]
-
-        v = [np.exp(-brentq(lambda y: log_conditional(y, t) - np.log(p[t]), 1e-18, 740.0, xtol=1e-12))
-             for t in range(200)]
-        assert np.array_equal(drawn[0], u)
-        assert_allclose(drawn[1], v, rtol=1e-9)
+    @pytest.mark.parametrize("theta", [1.0, 1.0 + 1e-7, 50.0, 1e6])
+    def test_gumbel_sampler_extremes(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = GumbelCopula(theta).sample(20_000, seed=12).values
+        assert np.isfinite(u).all()
+        assert u.min() > 0.0 and u.max() < 1.0
+        assert kendall_tau(u[0], u[1]) == pytest.approx(1.0 - 1.0 / theta, abs=0.02)
 
     def test_gaussian_normal_scores_correlation(self):
         u = GaussianCopula(corr2(0.7)).sample(10000, seed=5)

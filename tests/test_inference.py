@@ -38,7 +38,7 @@ from copsep import (
 from copsep import cli, copulas, inference, margins
 from copsep.exceptions import BlockFitError, FamilyDomainError
 from copsep.copulas import FAMILY_NAMES, _THETA_TOL
-from copsep.inference import FitReport, _best_orientation, _rank_correlations
+from copsep.inference import _best_orientation, _rank_correlations
 from copsep.margins import MarginalModel, PseudoObservations, margin_ppf
 
 
@@ -700,24 +700,6 @@ class TestCcaFit:
         _, report = cca_fit(x, partition=forced, seed=23)
         assert report.partition.blocks == forced.blocks
         assert report.copula.blocks[0].dim == 2
-
-
-class TestFitReport:
-    def test_rejects_inconsistent_divergence(self):
-        part = BlockPartition.singletons(2)
-        copula = FactorialCopula(part, (ProductCopula(1), ProductCopula(1)))
-        with pytest.raises(ValueError, match="divergence"):
-            FitReport(
-                mutual_information=0.1,
-                copula_entropy=-0.05,
-                divergence=0.2,
-                log_likelihood=-1.0,
-                partition=part,
-                copula=copula,
-                ica_iterations=3,
-                seed=0,
-                density_floor_hit=False,
-            )
 
 
 def _model_key(model):
