@@ -285,14 +285,29 @@ def cmd_separate(args) -> int:
     return EXIT_OK
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer; anything else, a boolean too, is a TypeError naming ``field``."""
+    if type(value) is not int:
+        raise TypeError(f"{field}: expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_numbers(value, field: str) -> np.ndarray:
+    """A finite JSON number, or nested lists of them, as a float array; anything
+    else, a boolean, NaN or a ragged list too, is a TypeError naming ``field``."""
+    if any(type(v) not in (int, float) or not math.isfinite(v) for v in np.asarray(value, dtype=object).flat):
+        raise TypeError(f"{field}: expected finite numbers, got {json.dumps(value)}")
+    return np.asarray(value, dtype=float)
+
+
 def _block_summary(block: dict):
     """(family, parameters) of one JSON copula block; a gaussian's are its sorted
     off-diagonal |correlations|, as the components' signs are ambiguous."""
     family = block["family"]
     if family in _THETA_FAMILIES:
-        return family, np.array(float(block["params"]["theta"]))
+        return family, _json_numbers(block["params"]["theta"], "theta")
     if family == "gaussian":
-        rho = np.abs(np.asarray(block["params"]["correlation"], dtype=float))
+        rho = np.abs(_json_numbers(block["params"]["correlation"], "correlation"))
         return family, np.sort(rho[~np.eye(len(rho), dtype=bool)])
     return family, np.zeros(0)
 
@@ -304,28 +319,30 @@ def _block_error(truth, estimate):
     return float(np.abs(t - e).max(initial=0.0))
 
 
-def _json_partition(blocks, n: int, where: str) -> BlockPartition:
+def _json_partition(blocks, n: int, path: str, field: str) -> BlockPartition:
     """The 0-based partition given by 1-based JSON channel lists, which must
     cover channels 1..n once."""
     try:
-        return BlockPartition(tuple(tuple(int(i) - 1 for i in b) for b in blocks), n)
+        return BlockPartition(tuple(tuple(_json_int(i, field) - 1 for i in b) for b in blocks), n)
     except ValueError as err:
-        raise ValueError(f"{where} {blocks} does not partition channels 1..{n} (0-based: {err})") from None
+        raise ValueError(f"{path}: {field} {blocks} does not partition channels 1..{n} (0-based: {err})") from None
 
 
 def _copula_blocks(doc: dict, n: int, path: str) -> dict:
     """Summaries of the copula blocks of a truth or estimate document, by
     their sorted 0-based channels, which must partition channels 1..n."""
     blocks = doc["copula"]["params"]["blocks"]
-    _json_partition([b["channels"] for b in blocks], n, f"{path}: copula channels")
-    return {tuple(sorted(int(i) - 1 for i in b["channels"])): _block_summary(b) for b in blocks}
+    _json_partition([b["channels"] for b in blocks], n, path, "copula channels")
+    return {tuple(sorted(i - 1 for i in b["channels"])): _block_summary(b) for b in blocks}
 
 
 @contextmanager
 def _fields_of(path: str):
-    # only here are these errors invalid input: a JSON field of the wrong type or shape
+    # only here are these errors invalid input: a JSON field missing, or of the wrong type or shape
     try:
         yield
+    except KeyError as err:
+        raise ValueError(f"{path}: missing field {err}") from None
     except (TypeError, IndexError) as err:
         raise ValueError(f"{path}: a field has the wrong type or shape ({err})") from None
 
@@ -338,18 +355,18 @@ def cmd_evaluate(args) -> int:
     data = read_signal_csv(args.data)
 
     with _fields_of(args.truth):
-        n = int(truth["channels"])
-        mixing = np.asarray(truth["mixing"], dtype=float)
+        n = _json_int(truth["channels"], "channels")
+        mixing = _json_numbers(truth["mixing"], "mixing")
         truth_blocks = _copula_blocks(truth, n, args.truth)
-        truth_partition = _json_partition(truth["partition"], n, f"{args.truth}: partition")
+        truth_partition = _json_partition(truth["partition"], n, args.truth, "partition")
     with _fields_of(args.estimate):
-        demixing = np.asarray(estimate["demixing"], dtype=float)
+        demixing = _json_numbers(estimate["demixing"], "demixing")
         if demixing.shape != (n, n) or mixing.shape != (n, n):
-            raise ValueError(
-                f"channel mismatch: truth has {n} channels, demixing {demixing.shape}, mixing {mixing.shape}"
-            )
+            raise ValueError(f"channel mismatch: truth has {n} channels, "
+                             f"demixing {demixing.shape}, mixing {mixing.shape}")
         estimate_blocks = _copula_blocks(estimate, n, args.estimate)
-        estimate_partition = _json_partition(estimate["partition"], n, f"{args.estimate}: partition")
+        estimate_partition = _json_partition(estimate["partition"], n, args.estimate, "partition")
+        divergence, log_likelihood = estimate["divergence"], estimate["log_likelihood"]
     if data.n_channels != n:
         raise ValueError(f"{args.data}: expected {n} channels, got {data.n_channels}")
 
@@ -376,8 +393,8 @@ def cmd_evaluate(args) -> int:
         "amari_index": amari_index(gain),
         "partition_match": partition_match,
         "block_errors": block_errors,
-        "divergence": estimate["divergence"],
-        "log_likelihood": estimate["log_likelihood"],
+        "divergence": divergence,
+        "log_likelihood": log_likelihood,
     }
     _dump_json(metrics, args.out)
     return EXIT_OK
@@ -438,9 +455,6 @@ def main(argv=None) -> int:
     except NonConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except KeyError as err:
-        print(f"error: missing key {err} in an input file", file=sys.stderr)
-        return EXIT_INVALID
     except (CopsepError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID

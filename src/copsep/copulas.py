@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
-from scipy.stats import kendalltau
 
 from .exceptions import FamilyDomainError
-from .margins import PseudoObservations
+from .margins import PseudoObservations, _average_ranks
 from .signals import BlockPartition, _frozen_array
 
 __all__ = [
@@ -393,9 +392,28 @@ def kendall_tau(x, y) -> float:
     n2 = _tied_pairs(y)
     if n1 == n0 or n2 == n0:
         return 0.0
+    from scipy.stats import kendalltau  # here, its only use: scipy.stats is slow to import
     tau_b = kendalltau(x, y, variant="b").statistic
     con_minus_dis = round(tau_b * math.sqrt(n0 - n1) * math.sqrt(n0 - n2))
     return con_minus_dis / n0
+
+
+def _spearman(ranks: np.ndarray) -> np.ndarray:
+    """Spearman's rho of every pair of rows of ``ranks`` by one product of the
+    centred rows; 0 along a constant row. On average ranks every product and
+    sum is exact, so negating a row of the data negates its rho bit for bit."""
+    centred = ranks - ranks.mean(axis=1, keepdims=True)
+    product = centred @ centred.T
+    scale = np.sqrt(np.diag(product))
+    scale[scale == 0.0] = np.inf
+    return product / np.outer(scale, scale)
+
+
+def _mean_tau(rho: np.ndarray) -> float:
+    """Kendall's tau at the mean off-diagonal Spearman rho of ``rho``, mapped after
+    averaging by the gaussian-copula relation tau = (2/pi) asin(2 sin(pi rho / 6)) (Kruskal 1958)."""
+    mean_rho = float(np.clip(np.mean(rho[np.triu_indices(len(rho), 1)]), -1.0, 1.0))
+    return 2.0 / math.pi * math.asin(2.0 * math.sin(math.pi * mean_rho / 6.0))
 
 
 def normal_scores_correlation(values) -> np.ndarray:
@@ -422,19 +440,6 @@ def copula_entropy(model: Copula, pseudo: PseudoObservations) -> float:
         return total
     value = -float(np.mean(model._log_density(pseudo.values)))
     return value + 0.0
-
-
-def mean_pairwise_tau(pseudo: PseudoObservations) -> float:
-    """Average Kendall tau over all channel pairs."""
-    d = pseudo.n_channels
-    if d < 2:
-        raise ValueError("need at least two channels")
-    taus = [
-        kendall_tau(pseudo.values[i], pseudo.values[j])
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
-    return float(np.mean(taus))
 
 
 # Golden-section tolerance on theta, and how many times an optimum on an
@@ -469,8 +474,8 @@ def _theta_from_tau(family: str, tau):
 
 
 def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
-    """Maximum pseudo-likelihood clayton or gumbel fit, given the block's
-    mean pairwise Kendall tau.
+    """Maximum pseudo-likelihood clayton or gumbel fit, given a Kendall
+    tau estimate for the block (see ``_mean_tau``).
 
     theta0 comes from the tau inversion, and a golden section searches
     [theta0/4, 4 theta0] intersected with the family domain. An optimum
@@ -487,9 +492,7 @@ def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
     if family == "gumbel" and d != 2:
         raise FamilyDomainError(f"gumbel is bivariate only, got dimension {d}")
     if tau <= 0.0:
-        raise FamilyDomainError(
-            f"{family} models positive dependence only; kendall tau estimate is {tau:.4f}"
-        )
+        raise FamilyDomainError(f"{family} models positive dependence only; Spearman-based tau is {tau:.4f}")
     theta0 = _theta_from_tau(family, min(tau, 0.9999))
     cls = _THETA_FAMILIES[family]
     floor = cls._theta_floor
@@ -518,11 +521,12 @@ def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
 
     product: no parameters. gaussian: normal-scores correlation matrix,
     eigenvalue-floored at 1e-8 and rescaled to unit diagonal.
-    clayton/gumbel: theta initialized by inverting the mean pairwise
-    Kendall tau, then maximum mean log density by golden-section search
+    clayton/gumbel: theta initialized by inverting the tau of the mean
+    pairwise Spearman rho of the ranks (``_mean_tau``), then maximum mean
+    log density by golden-section search
     (tolerance 1e-6) on [theta0/4, 4*theta0] intersected with the family
     domain, widened where the optimum lands on an interior edge. Both
-    model positive dependence only: a mean tau <= 0 raises
+    model positive dependence only: a tau <= 0 raises
     FamilyDomainError, as does gumbel beyond two channels or an optimum
     that stays on a bracket edge after the widenings.
     """
@@ -543,7 +547,7 @@ def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
             rho = 0.5 * (rho + rho.T)
             np.fill_diagonal(rho, 1.0)
         return GaussianCopula(rho)
-    return _fit_archimedean(pseudo, family, mean_pairwise_tau(pseudo))
+    return _fit_archimedean(pseudo, family, _mean_tau(_spearman(_average_ranks(pseudo.values))))
 
 
 def stationarity_residual(model: Copula, pseudo: PseudoObservations) -> float:

@@ -26,10 +26,12 @@ from .copulas import (
     GaussianCopula,
     ProductCopula,
     _fit_archimedean,
+    _mean_tau,
+    _spearman,
     _theta_from_tau,
     copula_entropy,
     fit_copula,
-    kendall_tau,
+    kendall_tau,  # unused here; perfbench/tracer.py wraps inference.kendall_tau
     normal_scores_correlation,
 )
 from .exceptions import BlockFitError, CopsepError, FamilyDomainError
@@ -137,31 +139,11 @@ def select_family(pseudo: PseudoObservations, menu) -> str:
     return _best_orientation(pseudo, menu, orient=False)[1].family
 
 
-def _tau_matrix(values: np.ndarray) -> np.ndarray:
-    """Kendall tau of every pair of rows, as a symmetric matrix with unit
-    diagonal."""
-    d = values.shape[0]
-    tau = np.eye(d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            tau[i, j] = tau[j, i] = kendall_tau(values[i], values[j])
-    return tau
-
-
 def _rank_correlations(u: np.ndarray):
-    """Spearman's rho of every pair of rows of the pseudo-observations u,
-    and of their energies |u - 1/2|; 0 against a constant row. Each is
-    the Pearson correlation of ranks, one product of the centred rows.
-    The energies are ranked by ``margins._average_ranks``; they hold many
+    """Spearman's rho of every pair of rows of the pseudo-observations u
+    (ranks up to scale), and of their energies |u - 1/2|, which hold many
     ties, as u and 1 - u share an energy."""
-    out = []
-    for ranks in (u, _average_ranks(np.abs(u - 0.5))):
-        centred = ranks - ranks.mean(axis=1, keepdims=True)
-        product = centred @ centred.T
-        scale = np.sqrt(np.diag(product))
-        scale[scale == 0.0] = np.inf
-        out.append(product / np.outer(scale, scale))
-    return out
+    return _spearman(u), _spearman(_average_ranks(np.abs(u - 0.5)))
 
 
 def _detection_threshold(n_channels: int, n_samples: int) -> float:
@@ -204,9 +186,9 @@ def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
     prefer fewer flips, then the earlier pattern, and within a pattern
     the earlier family in the menu.
 
-    Each piece of work is done once per block. The block's Kendall-tau
-    matrix is computed once: a pattern s turns entry (i, j) into
-    s_i s_j tau_ij exactly, because tau's numerator is an integer.
+    Each piece of work is done once per block. The block's ranks give one
+    Spearman rho matrix: a pattern s turns entry (i, j) into s_i s_j rho_ij
+    exactly, as ranks are half-integers, and ``_mean_tau`` maps it to tau.
     Flipped rows get 1 - u, which equals, up to rounding, the
     pseudo-observations of the negated components. Product and gaussian
     scores do not depend on the pattern, so they are fitted and scored
@@ -231,18 +213,17 @@ def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
             model = fit_copula(pseudo, family)
             invariant.append((_penalized_score(model, pseudo.values), pos, model))
     patterns = list(_cartesian((False, True), repeat=d)) if asymmetric and orient else [(False,) * d]
-    tau = _tau_matrix(pseudo.values)
-    upper = np.triu_indices(d, 1)
+    rho = _spearman(_average_ranks(pseudo.values))
     flipped = 1.0 - pseudo.values
     best = None
     for idx, pattern in enumerate(patterns):
         sign = np.where(pattern, -1.0, 1.0)
-        mean_tau = float(np.mean((np.outer(sign, sign) * tau)[upper]))
+        tau = _mean_tau(np.outer(sign, sign) * rho)
         values = np.where(np.array(pattern)[:, None], flipped, pseudo.values)
         candidates = list(invariant)
         for pos, family in asymmetric:
             try:
-                model = _fit_archimedean(PseudoObservations(values), family, mean_tau)
+                model = _fit_archimedean(PseudoObservations(values), family, tau)
             except FamilyDomainError:
                 continue
             candidates.append((_penalized_score(model, values), pos, model))
@@ -271,9 +252,9 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
     per non-singleton block.
 
     Without an explicit partition, the components are grouped by
-    ``detect_partition``. The sources are ranked once.
-    Kendall tau is computed only inside the non-singleton blocks, once
-    per pair, and each such block gets one orientation search that
+    ``detect_partition``. The sources are ranked once, and each
+    non-singleton block once more for the Spearman rho that starts its
+    theta searches. Each such block gets one orientation search that
     returns the fitted copula with the winning sign pattern (see
     ``_best_orientation``), so no block is refitted after it is oriented.
 

@@ -582,6 +582,55 @@ class TestEvaluate:
         assert f"{paths[document]}: a field has the wrong type or shape" in capsys.readouterr().err
         assert not metrics_path.exists()
 
+    @pytest.mark.parametrize(
+        "document, edit, message",
+        [
+            ("truth", lambda doc: doc.update(channels=3.7), "(channels: expected an integer, got 3.7)"),
+            ("estimate", lambda doc: doc.update(partition=[[1.9, 2.2], [3.4]]),
+             "(partition: expected an integer, got 1.9)"),
+            ("estimate", lambda doc: doc["copula"]["params"]["blocks"][0]["params"].update(theta="2.5"),
+             '(theta: expected finite numbers, got "2.5")'),
+            ("truth", lambda doc: doc.update(channels=True), "(channels: expected an integer, got true)"),
+            ("truth", lambda doc: doc.update(channels="x"), '(channels: expected an integer, got "x")'),
+            ("truth", lambda doc: doc["copula"]["params"]["blocks"][0]["params"].update(theta="x"),
+             '(theta: expected finite numbers, got "x")'),
+            ("estimate", lambda doc: doc["copula"]["params"]["blocks"][0]["params"].update(theta=float("nan")),
+             "(theta: expected finite numbers, got NaN)"),
+            ("estimate", lambda doc: doc["demixing"][0].__setitem__(0, float("inf")),
+             "(demixing: expected finite numbers, got [[Infinity, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])"),
+            ("truth", lambda doc: doc.pop("mixing"), "missing field 'mixing'"),
+        ],
+        ids=["float-channels", "float-partition", "string-theta", "bool-channels", "string-channels",
+             "non-numeric-theta", "nan-theta", "infinite-demixing", "missing-mixing"],
+    )
+    def test_json_field_errors_name_file_and_field(self, tmp_path, capsys, document, edit, message):
+        # channel numbers are JSON integers and parameters finite JSON
+        # numbers: nothing is truncated or converted from a string or a boolean
+        data, truth_path = synth_example(tmp_path)
+        truth = json.loads(truth_path.read_text())
+        estimate = {
+            "demixing": np.eye(3).tolist(),
+            "partition": truth["partition"],
+            "copula": json.loads(json.dumps(truth["copula"])),
+            "divergence": 0.0,
+            "log_likelihood": -1.0,
+        }
+        estimate_path = tmp_path / "est.json"
+        paths = {"estimate": estimate_path, "truth": truth_path}
+        docs = {"estimate": estimate, "truth": truth}
+        edit(docs[document])
+        for name, path in paths.items():
+            path.write_text(json.dumps(docs[name]))
+        metrics_path = tmp_path / "m.json"
+        code = run(
+            "evaluate", "--estimate", estimate_path, "--truth", truth_path,
+            "--data", data, "--out", metrics_path,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {paths[document]}: " in err and message in err
+        assert not metrics_path.exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         code = run(
             "evaluate", "--estimate", tmp_path / "nope.json", "--truth", tmp_path / "nope.json",

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.special import xlogy
 from scipy.stats import kstest
@@ -19,9 +22,9 @@ from copsep import (
     normal_scores_correlation,
     stationarity_residual,
 )
-from copsep.copulas import _fit_archimedean
+from copsep.copulas import _fit_archimedean, _spearman
 from copsep.exceptions import FamilyDomainError
-from copsep.margins import PseudoObservations
+from copsep.margins import PseudoObservations, _average_ranks
 
 
 def corr2(r):
@@ -89,6 +92,28 @@ class TestKendallTau:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+class TestSpearman:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.integers(2, 5).flatmap(lambda d: st.integers(2, 40).flatmap(
+            lambda t: arrays(float, (d, t), elements=st.integers(-2, 2).map(float))
+        )),
+        data=st.data(),
+    )
+    def test_symmetric_unit_diagonal_and_exact_under_negation(self, x, data):
+        # values in {-2, ..., 2}: heavy ties, and often a constant row
+        rho = _spearman(_average_ranks(x))
+        constant = x.min(axis=1) == x.max(axis=1)
+        assert np.array_equal(rho, rho.T)
+        assert_allclose(np.diag(rho), np.where(constant, 0.0, 1.0), rtol=0.0, atol=1e-15)
+        assert np.array_equal(rho[constant], np.zeros((constant.sum(), len(x))))
+        row = data.draw(st.integers(0, len(x) - 1))
+        sign = np.ones(len(x))
+        sign[row] = -1.0
+        negated = _spearman(_average_ranks(x * sign[:, None]))
+        assert np.array_equal(negated, np.outer(sign, sign) * rho)
 
 
 class TestCdf:
