@@ -300,6 +300,14 @@ def _json_numbers(value, field: str) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _json_number(value, field: str) -> float:
+    """One finite JSON number (see ``_json_numbers``); a list is a TypeError too."""
+    number = _json_numbers(value, field)
+    if number.ndim:
+        raise TypeError(f"{field}: expected a finite number, got {json.dumps(value)}")
+    return float(number)
+
+
 def _block_summary(block: dict):
     """(family, parameters) of one JSON copula block; a gaussian's are its sorted
     off-diagonal |correlations|, as the components' signs are ambiguous."""
@@ -366,7 +374,8 @@ def cmd_evaluate(args) -> int:
                              f"demixing {demixing.shape}, mixing {mixing.shape}")
         estimate_blocks = _copula_blocks(estimate, n, args.estimate)
         estimate_partition = _json_partition(estimate["partition"], n, args.estimate, "partition")
-        divergence, log_likelihood = estimate["divergence"], estimate["log_likelihood"]
+        divergence = _json_number(estimate["divergence"], "divergence")
+        log_likelihood = _json_number(estimate["log_likelihood"], "log_likelihood")
     if data.n_channels != n:
         raise ValueError(f"{args.data}: expected {n} channels, got {data.n_channels}")
 

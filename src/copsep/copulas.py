@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
 from .exceptions import FamilyDomainError
@@ -442,30 +443,11 @@ def copula_entropy(model: Copula, pseudo: PseudoObservations) -> float:
     return value + 0.0
 
 
-# Golden-section tolerance on theta, and how many times an optimum on an
-# interior bracket edge widens that side fourfold before the fit gives up.
+# Tolerance of the bounded Brent search on theta, and how many times an
+# optimum on an interior bracket edge widens that side fourfold before the
+# fit gives up.
 _THETA_TOL = 1e-6
 _BRACKET_WIDENINGS = 4
-
-
-def _golden_section_max(f, lo: float, hi: float) -> float:
-    """Deterministic golden-section maximizer on [lo, hi], to a bracket of
-    _THETA_TOL."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > _THETA_TOL:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
 
 
 def _theta_from_tau(family: str, tau):
@@ -477,12 +459,15 @@ def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
     """Maximum pseudo-likelihood clayton or gumbel fit, given a Kendall
     tau estimate for the block (see ``_mean_tau``).
 
-    theta0 comes from the tau inversion, and a golden section searches
-    [theta0/4, 4 theta0] intersected with the family domain. An optimum
-    on a bracket edge that is not the domain bound (gumbel's theta = 1)
-    widens that side fourfold and searches again, at most
-    _BRACKET_WIDENINGS times. The theta-free log terms are computed once;
-    each step evaluates only the theta-dependent remainder.
+    theta0 comes from the tau inversion, and scipy's bounded Brent search
+    (to _THETA_TOL) minimizes the negated mean log density on
+    [theta0/4, 4 theta0] intersected with the family domain. Brent may stop
+    a few _THETA_TOL short of an edge, so edges are tested by value: an
+    edge that is not the domain bound (gumbel's theta = 1) and scores no
+    worse than the search's optimum widens that side fourfold, lo first,
+    and the search runs again, at most _BRACKET_WIDENINGS times. The
+    theta-free log terms are computed once; each step evaluates only the
+    theta-dependent remainder.
 
     Raises FamilyDomainError for gumbel beyond two channels, for tau <= 0
     (both families model positive dependence only), and when the optimum
@@ -498,20 +483,20 @@ def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
     floor = cls._theta_floor
     terms = cls._log_terms(pseudo.values)
 
-    def mean_log_density(th):
-        return float(np.mean(cls(th, d)._log_density_of(terms)))
+    def loss(th):
+        return -float(np.mean(cls(th, d)._log_density_of(terms)))
 
     lo, hi = max(floor, theta0 / 4.0), 4.0 * theta0
     for _ in range(_BRACKET_WIDENINGS + 1):
-        theta = _golden_section_max(mean_log_density, lo, hi)
-        if theta - lo <= _THETA_TOL and lo > floor:
+        fit = minimize_scalar(loss, bounds=(lo, hi), method="bounded", options={"xatol": _THETA_TOL})
+        if lo > floor and loss(lo) <= fit.fun:
             lo = max(floor, lo / 4.0)
-        elif hi - theta <= _THETA_TOL:
+        elif loss(hi) <= fit.fun:
             hi *= 4.0
         else:
-            return cls(theta, d)
+            return cls(fit.x, d)
     raise FamilyDomainError(
-        f"{family} likelihood still rises at the bracket edge theta = {theta:.6g} "
+        f"{family} likelihood still rises at the bracket edge theta = {fit.x:.6g} "
         f"after {_BRACKET_WIDENINGS} widenings"
     )
 
@@ -523,9 +508,9 @@ def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
     eigenvalue-floored at 1e-8 and rescaled to unit diagonal.
     clayton/gumbel: theta initialized by inverting the tau of the mean
     pairwise Spearman rho of the ranks (``_mean_tau``), then maximum mean
-    log density by golden-section search
-    (tolerance 1e-6) on [theta0/4, 4*theta0] intersected with the family
-    domain, widened where the optimum lands on an interior edge. Both
+    log density by scipy's bounded Brent search (tolerance 1e-6) on
+    [theta0/4, 4*theta0] intersected with the family domain, widened
+    where an interior edge scores no worse than the search's optimum. Both
     model positive dependence only: a tau <= 0 raises
     FamilyDomainError, as does gumbel beyond two channels or an optimum
     that stays on a bracket edge after the widenings.

@@ -189,10 +189,10 @@ def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
     Each piece of work is done once per block. The block's ranks give one
     Spearman rho matrix: a pattern s turns entry (i, j) into s_i s_j rho_ij
     exactly, as ranks are half-integers, and ``_mean_tau`` maps it to tau.
-    Flipped rows get 1 - u, which equals, up to rounding, the
-    pseudo-observations of the negated components. Product and gaussian
-    scores do not depend on the pattern, so they are fitted and scored
-    once; only clayton and gumbel are fitted per pattern, and a pattern
+    Flipped rows get (T + 1 - r) / (T + 1) from the ranks r: bit for bit
+    the pseudo-observations of the negated components. Product and
+    gaussian scores do not depend on the pattern, so they are fitted and
+    scored once; only clayton and gumbel are fitted per pattern, and a pattern
     with flips can win only through them. ``orient=False`` scores the
     pattern without flips only. Every menu needs at least 100 samples.
 
@@ -213,8 +213,9 @@ def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
             model = fit_copula(pseudo, family)
             invariant.append((_penalized_score(model, pseudo.values), pos, model))
     patterns = list(_cartesian((False, True), repeat=d)) if asymmetric and orient else [(False,) * d]
-    rho = _spearman(_average_ranks(pseudo.values))
-    flipped = 1.0 - pseudo.values
+    ranks = _average_ranks(pseudo.values)
+    rho = _spearman(ranks)
+    flipped = (pseudo.n_samples + 1 - ranks) / (pseudo.n_samples + 1)
     best = None
     for idx, pattern in enumerate(patterns):
         sign = np.where(pattern, -1.0, 1.0)

@@ -599,9 +599,17 @@ class TestEvaluate:
             ("estimate", lambda doc: doc["demixing"][0].__setitem__(0, float("inf")),
              "(demixing: expected finite numbers, got [[Infinity, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])"),
             ("truth", lambda doc: doc.pop("mixing"), "missing field 'mixing'"),
+            ("estimate", lambda doc: doc.update(divergence="x"), '(divergence: expected finite numbers, got "x")'),
+            ("estimate", lambda doc: doc.update(log_likelihood=[1, True]),
+             "(log_likelihood: expected finite numbers, got [1, true])"),
+            ("estimate", lambda doc: doc.update(divergence=True), "(divergence: expected finite numbers, got true)"),
+            ("estimate", lambda doc: doc.update(log_likelihood=float("nan")),
+             "(log_likelihood: expected finite numbers, got NaN)"),
+            ("estimate", lambda doc: doc.update(divergence=[0.5]), "(divergence: expected a finite number, got [0.5])"),
         ],
         ids=["float-channels", "float-partition", "string-theta", "bool-channels", "string-channels",
-             "non-numeric-theta", "nan-theta", "infinite-demixing", "missing-mixing"],
+             "non-numeric-theta", "nan-theta", "infinite-demixing", "missing-mixing", "string-divergence",
+             "list-log-likelihood", "bool-divergence", "nan-log-likelihood", "list-divergence"],
     )
     def test_json_field_errors_name_file_and_field(self, tmp_path, capsys, document, edit, message):
         # channel numbers are JSON integers and parameters finite JSON

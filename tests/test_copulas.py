@@ -432,6 +432,26 @@ class TestFitCopula:
         model = _fit_archimedean(u, "gumbel", tau=0.01)
         assert 1.0 <= model.theta < 1.0 + 1e-5
 
+    @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
+    def test_theta_search_evaluation_budget(self, monkeypatch, cls):
+        # a bounded Brent search with two edge checks, not a golden section of ~35 steps
+        u = cls(2.0, 2).sample(5000, seed=11)
+        calls = []
+        evaluate = cls._log_density_of
+        monkeypatch.setattr(cls, "_log_density_of", lambda self, terms: calls.append(1) or evaluate(self, terms))
+        fit_copula(u, cls(2.0, 2).family)
+        assert 0 < len(calls) <= 20
+
+    @pytest.mark.parametrize("edge", ["lo", "hi"])
+    def test_optimum_just_inside_the_bracket_edge(self, edge):
+        # theta0 is chosen so the optimum lies 1e-4 inside the first bracket
+        # [theta0/4, 4 theta0]: the edge test must not mistake it for an edge optimum
+        u = ClaytonCopula(2.0, 2).sample(5000, seed=11)
+        theta_hat = fit_copula(u, "clayton").theta
+        theta0 = 4.0 * (theta_hat - 1e-4) if edge == "lo" else (theta_hat + 1e-4) / 4.0
+        model = _fit_archimedean(u, "clayton", tau=theta0 / (theta0 + 2.0))
+        assert model.theta == pytest.approx(theta_hat, abs=1e-6)
+
     def test_gumbel_rejects_higher_dimensions(self):
         u = ClaytonCopula(1.0, 3).sample(1000, seed=5)
         with pytest.raises(FamilyDomainError, match="bivariate"):

@@ -97,7 +97,7 @@ def brute_force_orientation(pseudo, menu):
     for idx, pattern in enumerate(cartesian((False, True), repeat=d)):
         values = pseudo.values.copy()
         for row in np.flatnonzero(pattern):
-            values[row] = 1.0 - values[row]
+            values[row] = pseudo_observations(SignalMatrix(-values[[row]])).values[0]
         flipped = PseudoObservations(values)
         for pos, family in enumerate(menu):
             try:
