@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 # fit_dependence joins two of n components into a block when |rho| of
-# their ranks, or of their energies |u - 1/2|, exceeds z / sqrt(T - 1):
+# their ranks r, or of their energies |2r - (T + 1)|, exceeds z / sqrt(T - 1):
 # 1 / sqrt(T - 1) is the standard deviation of Spearman's rho between
 # independent channels, and z is the Bonferroni normal quantile that keeps
 # the chance of any false edge among the 2 C(n, 2) two-sided tests at this
@@ -139,11 +139,28 @@ def select_family(pseudo: PseudoObservations, menu) -> str:
     return _best_orientation(pseudo, menu, orient=False)[1].family
 
 
+def _energy_ranks(u: np.ndarray) -> np.ndarray:
+    """Average ranks within each row of the energies of the
+    pseudo-observations u = r / (T + 1): the integers e = |2r - (T + 1)|
+    in 0..T, which hold many ties, as u and 1 - u share an energy exactly.
+
+    A counting sort ranks them: with c[e] the number of samples of energy
+    e, those samples get cumsum(c)[e] - (c[e] - 1) / 2, bit for bit what
+    ``_average_ranks`` gives.
+    """
+    t = u.shape[1]
+    ranks = np.empty_like(u)
+    for i, row in enumerate(u):
+        energy = np.abs(np.rint((2.0 * row - 1.0) * (t + 1))).astype(np.intp)
+        counts = np.bincount(energy, minlength=t + 1)
+        ranks[i] = np.cumsum(counts)[energy] - (counts[energy] - 1) / 2
+    return ranks
+
+
 def _rank_correlations(u: np.ndarray):
     """Spearman's rho of every pair of rows of the pseudo-observations u
-    (ranks up to scale), and of their energies |u - 1/2|, which hold many
-    ties, as u and 1 - u share an energy."""
-    return _spearman(u), _spearman(_average_ranks(np.abs(u - 0.5)))
+    (ranks up to scale), and of their energies (``_energy_ranks``)."""
+    return _spearman(u), _spearman(_energy_ranks(u))
 
 
 def _detection_threshold(n_channels: int, n_samples: int) -> float:
@@ -156,7 +173,8 @@ def _detection_threshold(n_channels: int, n_samples: int) -> float:
 def detect_partition(pseudo: PseudoObservations) -> BlockPartition:
     """Group channels into blocks: connected components of the graph with
     an edge wherever Spearman's |rho| of the pseudo-observations, or the
-    energy rank correlation |rho(|u_i - 1/2|, |u_j - 1/2|)|, exceeds the
+    energy rank correlation |rho(e_i, e_j)| with e = |2r - (T + 1)| for
+    the ranks r (``_energy_ranks``), exceeds the
     threshold z / sqrt(T - 1) worked out from the sample count T and the
     channel count n: z is the Bonferroni normal quantile over the
     2 C(n, 2) plain and energy tests at the family-wise level
@@ -165,7 +183,8 @@ def detect_partition(pseudo: PseudoObservations) -> BlockPartition:
     The energy term is the grouping criterion of multidimensional ICA: a
     dependent pair that whitening has decorrelated keeps almost no plain
     rank correlation, but its components still grow large together. Both
-    terms use the pseudo-observations only.
+    terms use the pseudo-observations only; the energies are ranked by
+    counting, without a sort.
     """
     if pseudo.n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {pseudo.n_samples}")
@@ -253,11 +272,13 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
     per non-singleton block.
 
     Without an explicit partition, the components are grouped by
-    ``detect_partition``. The sources are ranked once, and each
-    non-singleton block once more for the Spearman rho that starts its
-    theta searches. Each such block gets one orientation search that
-    returns the fitted copula with the winning sign pattern (see
-    ``_best_orientation``), so no block is refitted after it is oriented.
+    ``detect_partition``. The sources are ranked once: detection, the
+    energies and the block fits all use that ranking, and each
+    non-singleton block is ranked once more for the Spearman rho that
+    starts its theta searches. Each such block gets one orientation
+    search that returns the fitted copula with the winning sign pattern
+    (see ``_best_orientation``), so no block is refitted after it is
+    oriented.
 
     Returns
     -------
@@ -266,8 +287,13 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
         copula describes ``sources`` with those rows negated.
     """
     menu = _check_menu(families)
-    pseudo = pseudo_observations(sources)
-    n = sources.n_channels
+    return _fit_dependence(pseudo_observations(sources), menu, partition)
+
+
+def _fit_dependence(pseudo: PseudoObservations, menu, partition: BlockPartition | None):
+    """``fit_dependence`` on the sources' pseudo-observations, with a
+    checked menu."""
+    n = pseudo.n_channels
     if partition is None:
         partition = detect_partition(pseudo)
     elif partition.n_channels != n:
@@ -520,20 +546,32 @@ def cca_fit(
     components = SignalMatrix(rotation @ z.values)
 
     menu = _check_menu(families)
-    part, copula, flips = fit_dependence(components, families=menu, partition=partition)
+    t = x.n_samples
+    ranks = _average_ranks(components.values)
+    part, copula, flips = _fit_dependence(PseudoObservations(ranks / (t + 1)), menu, partition)
     within, copula = _refine_blocks(components, part, copula, flips, menu)
     sources = SignalMatrix(within @ components.values)
 
     separation = SeparationModel(mean, whitening, rotation, within)
-    # the information, the copula entropy and the likelihood share one
-    # ranking of the sources, and the likelihood evaluates the margins on
-    # the sources they were fitted on: separation.separate(x) differs from
-    # them in the last bits, enough to put extremes outside the histograms
-    pseudo = pseudo_observations(sources)
+    # one ranking of the components serves phase 2 and the report: a row
+    # that the within-block transform leaves alone keeps its ranks, a
+    # negated one takes T + 1 - r (the average ranks of -x, exactly), and
+    # only the rows of refined pairs are ranked again. The information,
+    # the copula entropy and the likelihood share these ranks of the
+    # sources, and the likelihood evaluates the margins at the sources
+    # they were fitted on: separation.separate(x) differs from them in the
+    # last bits, enough to put extremes outside the histograms
+    diagonal = np.diag(within)
+    kept = (np.abs(diagonal) == 1.0) & (np.count_nonzero(within, axis=1) == 1)
+    negated = kept & (diagonal < 0.0)
+    ranks[negated] = t + 1 - ranks[negated]
+    if not kept.all():
+        ranks[~kept] = _average_ranks(sources.values[~kept])
+    pseudo = PseudoObservations(ranks / (t + 1))
     info = mutual_information(pseudo)
     entropy = copula_entropy(copula, pseudo)
     margins = MarginalModel.fit(sources)
-    margin_log_density, floor_hits = margins._log_density_and_floor_hits(sources.values)
+    margin_log_density, floor_hits = margins._fitted_log_density_and_floor_hits(ranks)
     report = FitReport(
         mutual_information=info,
         copula_entropy=entropy,

@@ -143,17 +143,29 @@ class MarginalModel:
 
     @classmethod
     def fit(cls, signals: SignalMatrix) -> "MarginalModel":
+        """Order statistics and histograms of each channel, from one sort
+        per row.
+
+        The edges are numpy's for ``_bin_count`` bins. Bin k counts the
+        values in [e_k, e_{k+1}), the last bin closed, which is how
+        ``np.histogram`` assigns them; a binary search of the edges in the
+        sorted row finds those counts.
+        """
         n, t = signals.n_channels, signals.n_samples
         if t < max(n + 1, 10):
             raise ValueError(f"need at least {max(n + 1, 10)} samples to fit margins, got {t}")
+        sorted_values = np.sort(signals.values, axis=1)
         edges = []
         probs = []
-        for i in range(n):
-            x = signals.values[i]
-            counts, e = np.histogram(x, bins=_bin_count(x))
+        for row in sorted_values:
+            e = np.histogram_bin_edges(row, bins=_bin_count(row))
+            # below[k]: how many values lie below edge k; the last edge is
+            # the maximum, and the last bin holds it
+            below = np.searchsorted(row, e)
+            below[-1] = t
             edges.append(e)
-            probs.append(counts / t)
-        return cls(np.sort(signals.values, axis=1), tuple(edges), tuple(probs))
+            probs.append(np.diff(below) / t)
+        return cls(sorted_values, tuple(edges), tuple(probs))
 
     @property
     def n_channels(self) -> int:
@@ -163,19 +175,24 @@ class MarginalModel:
     def n_samples(self) -> int:
         return self.sorted_values.shape[1]
 
-    def _channel_density(self, channel: int, x: np.ndarray):
-        edges = self.bin_edges[channel]
-        probs = self.bin_probs[channel]
-        widths = np.diff(edges)
-        idx = np.searchsorted(edges, x, side="right") - 1
-        # np.histogram closes the last bin on the right
-        idx[x == edges[-1]] = len(probs) - 1
-        inside = (idx >= 0) & (idx < len(probs))
-        dens = np.full(x.shape, 0.0)
-        dens[inside] = probs[idx[inside]] / widths[idx[inside]]
+    def _bin_density(self, channel: int):
+        """Density of each bin of the channel's histogram, floored at
+        DENSITY_FLOOR, and which bins the floor raised."""
+        dens = self.bin_probs[channel] / np.diff(self.bin_edges[channel])
         floored = dens < DENSITY_FLOOR
         dens[floored] = DENSITY_FLOOR
-        return dens, int(floored.sum())
+        return dens, floored
+
+    def _channel_density(self, channel: int, x: np.ndarray):
+        edges = self.bin_edges[channel]
+        bin_dens, bin_floored = self._bin_density(channel)
+        idx = np.searchsorted(edges, x, side="right") - 1
+        # np.histogram closes the last bin on the right
+        idx[x == edges[-1]] = len(bin_dens) - 1
+        inside = (idx >= 0) & (idx < len(bin_dens))
+        dens = np.full(x.shape, DENSITY_FLOOR)
+        dens[inside] = bin_dens[idx[inside]]
+        return dens, int((~inside).sum() + bin_floored[idx[inside]].sum())
 
     def _log_density_and_floor_hits(self, values: np.ndarray):
         """``log_density`` and ``density_floor_hits`` from one pass."""
@@ -185,6 +202,24 @@ class MarginalModel:
             dens, h = self._channel_density(i, np.asarray(values[i], dtype=float))
             out[i] = np.log(dens)
             hits += h
+        return out, hits
+
+    def _fitted_log_density_and_floor_hits(self, ranks: np.ndarray):
+        """``_log_density_and_floor_hits`` at the samples the model was
+        fitted on, given their average ranks within each channel.
+
+        The sample of rank r equals the order statistic at position
+        floor(r) - 1, and the bin counts say which bin holds each
+        position, so a gather from a per-bin table replaces the binary
+        search of every sample.
+        """
+        out = np.empty(ranks.shape)
+        hits = 0
+        for i in range(self.n_channels):
+            counts = np.rint(self.bin_probs[i] * self.n_samples).astype(np.intp)
+            dens, floored = self._bin_density(i)
+            out[i] = np.repeat(np.log(dens), counts)[ranks[i].astype(np.intp) - 1]
+            hits += int(counts[floored].sum())
         return out, hits
 
     def log_density(self, values: np.ndarray) -> np.ndarray:

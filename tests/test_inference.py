@@ -179,8 +179,20 @@ class TestCalibratedDetection:
         ])
         u = pseudo_observations(SignalMatrix(values)).values
         plain, energy = _rank_correlations(u)
+        energies = np.abs(2.0 * rankdata(values, axis=1) - 601)
         assert_allclose(plain, spearmanr(u, axis=1).statistic, rtol=0.0, atol=1e-12)
-        assert_allclose(energy, spearmanr(np.abs(u - 0.5), axis=1).statistic, rtol=0.0, atol=1e-12)
+        assert_allclose(energy, spearmanr(energies, axis=1).statistic, rtol=0.0, atol=1e-12)
+
+    def test_u_and_one_minus_u_share_an_energy_rank_exactly(self):
+        # |u - 1/2| rounds r / (T + 1) and (T + 1 - r) / (T + 1) apart, which
+        # split 8 334 of these 20 000 ties; the integer energies do not
+        t = 20000
+        x = np.random.default_rng(62).standard_normal((1, t))
+        ranks = margins._average_ranks(x)
+        energy = inference._energy_ranks(ranks / (t + 1))
+        by_rank = energy[0, np.argsort(ranks[0])]
+        assert np.array_equal(by_rank, by_rank[::-1])
+        assert np.array_equal(energy, margins._average_ranks(np.abs(2.0 * ranks - (t + 1))))
 
     @pytest.mark.parametrize("kind", ["plain", "energy"])
     def test_pair_joins_exactly_above_the_threshold(self, kind):
@@ -758,3 +770,50 @@ class TestRankKernelLeavesOutputsUnchanged:
         native, reference = _with_scipy_ranks(monkeypatch, run)
         assert native == reference
         assert native[0] == ((0, 1, 2), (3, 4), (5,))
+
+
+class TestReportSharesOneRanking:
+    """cca_fit ranks the rotation-phase components once and derives the
+    report's ranks, margins and likelihood from that ranking; each report
+    field must equal, bit for bit, its recomputation through the public
+    route on the sources within @ components."""
+
+    @staticmethod
+    def _check(x, seed):
+        separation, report = cca_fit(x, seed=seed)
+        z, _, _ = center_and_whiten(x)
+        sources = SignalMatrix(separation.within @ (separation.rotation @ z.values))
+        pseudo = pseudo_observations(sources)
+        model = MarginalModel.fit(sources)
+        log_density, hits = model._log_density_and_floor_hits(sources.values)
+        assert report.mutual_information == inference.mutual_information(pseudo)
+        assert report.copula_entropy == copula_entropy(report.copula, pseudo)
+        assert report.log_likelihood == inference._mean_log_likelihood(log_density, report.copula, pseudo)
+        assert report.density_floor_hit == (hits > 0)
+        return separation.within, report, model
+
+    def test_independent_channels(self):
+        rng = np.random.default_rng(70)
+        x = mix(SignalMatrix(rng.laplace(size=(8, 5000))), well_conditioned_mixing(rng, 8))
+        within, _, _ = self._check(x, 70)
+        assert np.array_equal(np.abs(within), np.eye(8))
+
+    def test_flipped_triple_and_refined_pair(self):
+        rng = np.random.default_rng(0)
+        x = mix(block_sources(0, 3000), well_conditioned_mixing(rng, 6))
+        with pytest.warns(UserWarning, match="only pairs"):
+            within, report, _ = self._check(x, 0)
+        (triple,) = [list(b) for b in report.partition.blocks if len(b) == 3]
+        assert np.diag(within)[triple].min() == -1.0
+        assert (np.count_nonzero(within, axis=1) == 2).sum() == 2
+
+    def test_tied_values(self):
+        x = SignalMatrix(np.round(clayton_laplace_sources(42, t=4000).values, 1))
+        self._check(x, 42)
+
+    def test_far_outlier_caps_the_bins(self):
+        rng = np.random.default_rng(71)
+        s = rng.laplace(size=(3, 2000))
+        s[0, 0] = 1e3
+        _, _, model = self._check(mix(SignalMatrix(s), well_conditioned_mixing(rng, 3)), 71)
+        assert max(len(p) for p in model.bin_probs) == 2000

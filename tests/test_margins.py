@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import rankdata
@@ -14,7 +14,7 @@ from copsep import (
     pseudo_observations,
     sample_margin,
 )
-from copsep.margins import _average_ranks
+from copsep.margins import _average_ranks, _bin_count
 
 
 def _rank_rows(t):
@@ -184,6 +184,36 @@ class TestMarginalModel:
         model = MarginalModel.fit(SignalMatrix([x]))
         assert len(model.bin_probs[0]) == 20000
         assert model.bin_edges[0][0] == x.min() and model.bin_edges[0][-1] == 1e5
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        t=st.integers(50, 1000),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 0.1, 1.0, 1e3]),
+        decimals=st.sampled_from([None, 1]),
+    )
+    def test_counts_equal_numpy_histogram_with_samples_on_edges(self, t, seed, scale, decimals):
+        rng = np.random.default_rng(seed)
+        x = rng.laplace(size=t) * scale
+        if decimals is not None:
+            x = np.round(x, decimals)
+        # the quartiles interpolate the order statistics lo - 1, lo, hi and
+        # hi + 1: samples between positions lo and hi may move anywhere in
+        # [x_(lo), x_(hi)] and leave the quartiles, the extremes and so the
+        # edges as they are, so move some onto the interior edges there
+        order = np.argsort(x)
+        lo, hi = int(0.25 * (t - 1)) + 1, int(0.75 * (t - 1))
+        edges = np.histogram_bin_edges(x, bins=_bin_count(x))
+        inner = edges[1:-1][(edges[1:-1] >= x[order[lo]]) & (edges[1:-1] <= x[order[hi]])]
+        movable = order[lo + 1:hi]
+        assume(inner.size and movable.size)
+        moved = rng.choice(movable, size=max(1, movable.size // 4), replace=False)
+        x[moved] = rng.choice(inner, size=moved.size)
+        counts, expected = np.histogram(x, bins=_bin_count(x))
+        assert np.array_equal(expected, edges)
+        model = MarginalModel.fit(SignalMatrix([x]))
+        assert np.array_equal(model.bin_edges[0], expected)
+        assert np.array_equal(model.bin_probs[0], counts / t)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bins_below_the_cap_are_numpy_fd_bins(self, seed):
