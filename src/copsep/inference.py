@@ -258,11 +258,11 @@ def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
     return best[1], best[2]
 
 
-def _fit_block(pseudo: PseudoObservations, block, menu):
+def _fit_block(pseudo: PseudoObservations, block, menu, orient: bool = True):
     """Orientation and copula of one block (see ``_best_orientation``);
     failures name the block."""
     try:
-        return _best_orientation(pseudo, menu)
+        return _best_orientation(pseudo, menu, orient)
     except CopsepError as err:
         raise BlockFitError(f"block {block}: {err}", block=block) from err
 
@@ -359,9 +359,11 @@ def _spacing_entropy_and_ranks(s: np.ndarray):
     ordered = np.take_along_axis(s, order, axis=1)
     with np.errstate(divide="ignore"):
         entropy = np.log((t + 1) / m * (ordered[:, m:] - ordered[:, :-m])).mean(axis=1)
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(1, t + 1), s.shape), axis=1)
-    return entropy, ranks / (t + 1)
+    u = np.empty(s.shape)
+    scale = np.arange(1, t + 1) / (t + 1)
+    for row, row_order in zip(u, order):
+        row[row_order] = scale
+    return entropy, u
 
 
 def _pair_log_likelihood(s: np.ndarray, model: Copula) -> float:
@@ -475,9 +477,14 @@ def _refine_blocks(sources: SignalMatrix, partition: BlockPartition, copula: Fac
     with a fitted transform beats the block's fit in the rotation-phase
     coordinates by the Bayesian information criterion (two extra
     parameters for the transform). The pair is then refitted on the
-    transformed components; the transform stands, with the refit's
-    flips, only if the refit is a tail-asymmetric family. A block fitted
-    best as gaussian or product stays as it is: a linear transform and a
+    transformed components with their signs kept (no orientation
+    search); the transform stands only if the refit is a tail-asymmetric
+    family. A search would repeat a choice already made: flipping row i
+    of B moves its angle a_i by pi, inside the angles' range [0, 2 pi),
+    and with the rows swapped back to det B > 0 that flipped transform
+    has the same likelihood under the exchangeable clayton or gumbel
+    copula, so the refinement has scored it. A block fitted best as
+    gaussian or product stays as it is: a linear transform and a
     gaussian correlation trade off against each other. Blocks of three or
     more channels are not refined; a warning says so.
     """
@@ -509,9 +516,9 @@ def _refine_blocks(sources: SignalMatrix, partition: BlockPartition, copula: Fac
                 best, refined = value, transform
         if refined is None:
             continue
-        pattern, refit = _fit_block(pseudo_observations(SignalMatrix(refined @ y)), block, menu)
+        _, refit = _fit_block(pseudo_observations(SignalMatrix(refined @ y)), block, menu, orient=False)
         if refit.family in _THETA_FAMILIES:
-            within[np.ix_(rows, rows)] = refined * np.where(pattern, -1.0, 1.0)[:, None]
+            within[np.ix_(rows, rows)] = refined
             models[k] = refit
     return within, FactorialCopula(partition, tuple(models))
 
@@ -544,6 +551,7 @@ def cca_fit(
     rotation, iterations = fastica(z, max_iter=max_iter, seed=seed)
     rotation = normalize_components(rotation, z)
     components = SignalMatrix(rotation @ z.values)
+    del z  # phase 2 and the report need only the components
 
     menu = _check_menu(families)
     t = x.n_samples

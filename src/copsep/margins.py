@@ -120,7 +120,7 @@ class MarginalModel:
 
     def __post_init__(self):
         sorted_values = _frozen_array(self.sorted_values, "sorted values", 2)
-        if np.any(np.diff(sorted_values, axis=1) < 0.0):
+        if np.any(sorted_values[:, 1:] < sorted_values[:, :-1]):
             raise ValueError("per-channel values must be sorted nondecreasing")
         if len(self.bin_edges) != sorted_values.shape[0] or len(self.bin_probs) != sorted_values.shape[0]:
             raise ValueError("need one histogram per channel")

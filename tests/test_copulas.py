@@ -22,7 +22,7 @@ from copsep import (
     normal_scores_correlation,
     stationarity_residual,
 )
-from copsep.copulas import _fit_archimedean, _spearman
+from copsep.copulas import _U_HI, _U_LO, _fit_archimedean, _spearman
 from copsep.exceptions import FamilyDomainError
 from copsep.margins import PseudoObservations, _average_ranks
 
@@ -217,6 +217,55 @@ class TestDensity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             ClaytonCopula(1.0, 2).density([0.5, 0.5, 0.5])
+
+
+def logaddexp_gumbel_log_density(theta, pts):
+    """Reference: the Gumbel log density with the log of the inner sum
+    taken by np.logaddexp."""
+    log_u = np.log(pts)
+    log_x = np.log(-log_u)
+    log_s = np.logaddexp(theta * log_x[0], theta * log_x[1])
+    s_root = np.exp(log_s / theta)
+    return (
+        -s_root
+        + (theta - 1.0) * (log_x[0] + log_x[1])
+        + (1.0 / theta - 2.0) * log_s
+        + np.log(s_root + theta - 1.0)
+        - log_u.sum(axis=0)
+    )
+
+
+def logaddexp_gumbel_cdf(theta, pts):
+    log_x = np.log(-np.log(pts))
+    return np.exp(-np.exp(np.logaddexp(theta * log_x[0], theta * log_x[1]) / theta))
+
+
+class TestGumbelLogSum:
+    # the clip bounds, points near them, and equal coordinates (a == b)
+    EDGES = np.array([_U_LO, 1e-10, 0.3, 0.5, 1.0 - 1e-10, _U_HI])
+
+    def points(self):
+        uu, vv = np.meshgrid(self.EDGES, self.EDGES)
+        random = np.random.default_rng(0).uniform(size=(2, 500))
+        pts = np.hstack([np.vstack([uu.ravel(), vv.ravel()]), random])
+        return np.hstack([pts, np.vstack([pts[0], pts[0]])])
+
+    @pytest.mark.parametrize("theta", [1.0, 1.0 + 1e-9, 2.0, 50.0, 1e4])
+    def test_matches_logaddexp_reference(self, theta):
+        pts = self.points()
+        model = GumbelCopula(theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log_density, cdf = model.log_density(pts), model.cdf(pts)
+        # at theta = 1 the log density is a sum of order-one terms that
+        # cancel to 0, so relative agreement needs an absolute floor there
+        assert_allclose(log_density, logaddexp_gumbel_log_density(theta, pts), rtol=1e-13, atol=1e-13)
+        assert_allclose(cdf, logaddexp_gumbel_cdf(theta, pts), rtol=1e-13, atol=0.0)
+
+    def test_equal_coordinates_add_log_two(self):
+        log_x = np.log(-np.log(self.EDGES))
+        model = GumbelCopula(3.0)
+        assert np.array_equal(model._log_powsum(np.vstack([log_x, log_x])), 3.0 * log_x + np.log(2.0))
 
 
 class TestModelValidation:

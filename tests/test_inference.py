@@ -577,6 +577,34 @@ def test_divergence_splits_exactly_across_modules(sizes, family, seed):
     assert report.divergence.hex() == d.hex()
 
 
+def put_along_axis_entropy_and_ranks(s):
+    """Reference: m-spacing entropies and pseudo-observations by an
+    integer rank scatter through np.put_along_axis, divided by T + 1."""
+    t = s.shape[1]
+    m = max(1, int(round(np.sqrt(t))))
+    order = np.argsort(s, axis=1)
+    ordered = np.take_along_axis(s, order, axis=1)
+    with np.errstate(divide="ignore"):
+        entropy = np.log((t + 1) / m * (ordered[:, m:] - ordered[:, :-m])).mean(axis=1)
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(1, t + 1), s.shape), axis=1)
+    return entropy, ranks / (t + 1)
+
+
+class TestSpacingEntropyAndRanks:
+    @pytest.mark.parametrize("shape", [(2, 100), (18, 2000), (2, 5000)])
+    def test_bit_identical_to_put_along_axis_reference(self, shape):
+        s = np.random.default_rng(shape[1]).laplace(size=shape)
+        # m + 1 = 11 equal values at T = 100: a zero spacing, entropy -inf
+        s[-1, 10:21] = s[-1, 10]
+        entropy, u = inference._spacing_entropy_and_ranks(s)
+        expected_entropy, expected_u = put_along_axis_entropy_and_ranks(s)
+        assert np.array_equal(entropy, expected_entropy)
+        assert np.array_equal(u, expected_u)
+        if shape[1] == 100:
+            assert entropy[-1] == -np.inf
+
+
 class TestCcaFit:
     def test_independent_laplace_recovers_everything(self):
         rng = np.random.default_rng(20)
@@ -674,17 +702,43 @@ class TestCcaFit:
         # picks product, so the transform is dropped
         x = SignalMatrix(np.round(np.random.default_rng(0).laplace(size=(3, 3000)), 1))
         fitted = []
+        orients = []
         fit_block = inference._fit_block
 
-        def recording(pseudo, block, menu):
+        def recording(pseudo, block, menu, orient=True):
             fitted.append(block)
-            return fit_block(pseudo, block, menu)
+            orients.append(orient)
+            return fit_block(pseudo, block, menu, orient)
 
         monkeypatch.setattr(inference, "_fit_block", recording)
         separation, report = cca_fit(x, partition=BlockPartition(((0, 1), (2,)), 3), seed=0)
         assert fitted == [(0, 1), (0, 1)]
+        assert orients == [True, False]
         assert np.array_equal(np.abs(separation.within), np.eye(3))
         assert report.copula.blocks[0].family == "product"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
+    def test_refit_keeps_the_signs_the_full_orientation_search_picks(self, monkeypatch, cls, seed):
+        # flipping a row of the refined transform gives another transform
+        # the refinement searched, so the full search keeps the signs too
+        s = SignalMatrix(margin_ppf("laplace", (0.0, 1.0), cls(2.0, 2).sample(3000, seed=seed).values))
+        refits = []
+        fit_block = inference._fit_block
+
+        def recording(pseudo, block, menu, orient=True):
+            if not orient:
+                refits.append((_best_orientation(pseudo, menu), _best_orientation(pseudo, menu, orient=False)))
+            return fit_block(pseudo, block, menu, orient)
+
+        monkeypatch.setattr(inference, "_fit_block", recording)
+        mixing = well_conditioned_mixing(np.random.default_rng(seed), 2)
+        cca_fit(mix(s, mixing), partition=BlockPartition(((0, 1),), 2), seed=seed)
+        assert len(refits) == 1
+        (pattern, model), (kept, refit) = refits[0]
+        assert pattern == kept == (False, False)
+        assert model.family == refit.family == cls(2.0).family
+        assert model.theta == refit.theta
 
     @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
     def test_polish_scores_theta_overflow_as_minus_inf(self, cls):

@@ -177,6 +177,12 @@ class TestMarginalModel:
         with pytest.raises(ValueError, match="samples"):
             MarginalModel.fit(SignalMatrix(np.ones((1, 3)) * np.arange(3.0)))
 
+    def test_sorted_values_must_be_nondecreasing(self):
+        edges, probs = (np.array([0.0, 1.0]),) * 2, (np.array([1.0]),) * 2
+        MarginalModel(np.array([[0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0]]), edges, probs)
+        with pytest.raises(ValueError, match="per-channel values must be sorted nondecreasing"):
+            MarginalModel(np.array([[0.0, 0.5, 0.5, 1.0], [0.0, 0.25, 0.2, 1.0]]), edges, probs)
+
     def test_far_outlier_caps_bins_at_sample_count(self):
         # Freedman-Diaconis alone asks for 1 011 603 bins here
         x = np.random.default_rng(7).standard_normal(20000)
