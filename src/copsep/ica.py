@@ -35,7 +35,9 @@ def _check_whitened(z: SignalMatrix):
 def fastica(z: SignalMatrix, max_iter: int = 200, seed: int = 0):
     """Estimate an orthogonal rotation making the rows of ``z`` maximally
     non-Gaussian, via the fixed-point iteration with symmetric decorrelation
-    and the tanh contrast derivative.
+    and the tanh contrast derivative. Every iteration runs in two n x T
+    work arrays allocated once, so the peak memory beyond ``z`` is two
+    n x T float arrays.
 
     Parameters
     ----------
@@ -65,11 +67,17 @@ def fastica(z: SignalMatrix, max_iter: int = 200, seed: int = 0):
     rng = np.random.default_rng(seed)
     w = _sym_decorrelate(rng.standard_normal((n, n)))
 
+    # fresh n x T temporaries per iteration would be handed back to the
+    # OS and faulted in again on the next pass
+    g = np.empty((n, t))
+    g_prime = np.empty((n, t))
     delta = np.inf
     for iteration in range(1, max_iter + 1):
-        y = w @ z.values
-        g = np.tanh(y)
-        g_prime_mean = (1.0 - g * g).mean(axis=1)
+        np.matmul(w, z.values, out=g)
+        np.tanh(g, out=g)
+        np.multiply(g, g, out=g_prime)
+        np.subtract(1.0, g_prime, out=g_prime)
+        g_prime_mean = g_prime.mean(axis=1)
         w_new = _sym_decorrelate(g @ z.values.T / t - g_prime_mean[:, None] * w)
         delta = float(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0).max())
         w = w_new

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from copsep import (
     normalize_components,
 )
 from copsep.exceptions import DegenerateDependenceError, NonConvergenceError
+from copsep.ica import _TOL, _check_whitened, _sym_decorrelate
 
 
 def rotation2(degrees):
@@ -24,6 +27,32 @@ def whiten_uniform_pair(seed, t=5000, degrees=45.0):
     x = mix(s, rotation2(degrees))
     z, _, wh = center_and_whiten(x)
     return z, wh
+
+
+def reference_fastica(z, max_iter=200, seed=0):
+    # the iteration as it was written before it reused its work arrays:
+    # fresh n x T temporaries on every pass
+    _check_whitened(z)
+    n, t = z.n_channels, z.n_samples
+    w = _sym_decorrelate(np.random.default_rng(seed).standard_normal((n, n)))
+    delta = np.inf
+    for iteration in range(1, max_iter + 1):
+        y = w @ z.values
+        g = np.tanh(y)
+        g_prime_mean = (1.0 - g * g).mean(axis=1)
+        w_new = _sym_decorrelate(g @ z.values.T / t - g_prime_mean[:, None] * w)
+        delta = float(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0).max())
+        w = w_new
+        if delta < _TOL:
+            return w, iteration
+    raise NonConvergenceError("reference", iterations=max_iter, last_delta=delta)
+
+
+def whiten_laplace(n, t, seed):
+    rng = np.random.default_rng([seed, n, t])
+    s = SignalMatrix(rng.laplace(size=(n, t)))
+    z, _, _ = center_and_whiten(mix(s, rng.standard_normal((n, n))))
+    return z
 
 
 class TestFastica:
@@ -79,6 +108,38 @@ class TestFastica:
         b, ib = fastica(z, seed=11)
         assert np.array_equal(a, b)
         assert ia == ib
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_allocating_reference(self, n, seed):
+        z = whiten_laplace(n, 5000, seed)
+        rotation, iterations = fastica(z, seed=seed)
+        expected, expected_iterations = reference_fastica(z, seed=seed)
+        assert np.array_equal(rotation, expected)
+        assert iterations == expected_iterations
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_non_convergence_state_matches_reference(self, n):
+        z = whiten_laplace(n, 5000, 7)
+        with pytest.raises(NonConvergenceError) as got:
+            fastica(z, max_iter=2, seed=7)
+        with pytest.raises(NonConvergenceError) as expected:
+            reference_fastica(z, max_iter=2, seed=7)
+        assert got.value.iterations == expected.value.iterations == 2
+        assert got.value.last_delta == expected.value.last_delta
+
+    @pytest.mark.parametrize("shape", [(8, 20000), (3, 20000), (2, 5000)])
+    def test_peak_memory_is_two_work_arrays(self, shape):
+        # the allocating loop peaked at four n x T temporaries
+        z = whiten_laplace(*shape, 1)
+        tracemalloc.start()
+        try:
+            fastica(z, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_by_t_bytes = z.values.nbytes
+        assert peak <= 2.5 * n_by_t_bytes
 
     def test_rejects_unwhitened_input(self):
         s = SignalMatrix(np.random.default_rng(0).standard_normal((2, 500)) * 3.0)
