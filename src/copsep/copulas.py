@@ -32,7 +32,6 @@ __all__ = [
     "kendall_tau",
     "copula_entropy",
     "fit_copula",
-    "stationarity_residual",
     "normal_scores_correlation",
 ]
 
@@ -542,22 +541,3 @@ def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
         return GaussianCopula(rho)
     return _fit_archimedean(pseudo, family, _mean_tau(_spearman(_average_ranks(pseudo.values))))
 
-
-def stationarity_residual(model: Copula, pseudo: PseudoObservations) -> float:
-    """Central finite difference, with step 1e-5, of mean log density with
-    respect to theta.
-
-    Near zero at an interior maximum-likelihood fit; used to verify the
-    first-order optimality of fitted Clayton/Gumbel parameters.
-    """
-    cls = type(model)
-    if cls not in _THETA_FAMILIES.values():
-        raise ValueError("stationarity residual is defined for clayton and gumbel models")
-    if pseudo.n_channels != model.dim:
-        raise ValueError("data dimension does not match the model")
-    th, step = model.theta, 1e-5
-    if th - step <= cls._theta_floor:
-        raise ValueError(f"theta = {th} is too close to the domain boundary for step {step}")
-    up = float(np.mean(cls(th + step, model.dim)._log_density(pseudo.values)))
-    down = float(np.mean(cls(th - step, model.dim)._log_density(pseudo.values)))
-    return (up - down) / (2.0 * step)

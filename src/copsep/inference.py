@@ -46,7 +46,6 @@ __all__ = [
     "detect_partition",
     "kl_decomposition",
     "average_log_likelihood",
-    "select_family",
 ]
 
 # fit_dependence joins two of n components into a block when |rho| of
@@ -123,22 +122,6 @@ def _penalized_score(model: Copula, values: np.ndarray) -> float:
     return mean_ld - _bic_penalty(_parameter_count(model), values.shape[1])
 
 
-def select_family(pseudo: PseudoObservations, menu) -> str:
-    """Pick the copula family with the best penalized mean log density.
-
-    The penalty is the Bayesian information criterion, k log T / (2 T)
-    nats per sample for k parameters, so the chance of picking a
-    dependent family on independent data shrinks as T grows. Families
-    whose domain excludes the data (e.g. clayton with non-positive
-    dependence) are skipped. Ties break by menu order. This is the
-    scoring of ``_best_orientation`` with no component flipped.
-    """
-    menu = _check_menu(menu)
-    if pseudo.n_channels < 2:
-        raise ValueError("family selection needs a block of dimension at least 2")
-    return _best_orientation(pseudo, menu, orient=False)[1].family
-
-
 def _energy_ranks(u: np.ndarray) -> np.ndarray:
     """Average ranks within each row of the energies of the
     pseudo-observations u = r / (T + 1): the integers e = |2r - (T + 1)|
@@ -155,12 +138,6 @@ def _energy_ranks(u: np.ndarray) -> np.ndarray:
         counts = np.bincount(energy, minlength=t + 1)
         ranks[i] = np.cumsum(counts)[energy] - (counts[energy] - 1) / 2
     return ranks
-
-
-def _rank_correlations(u: np.ndarray):
-    """Spearman's rho of every pair of rows of the pseudo-observations u
-    (ranks up to scale), and of their energies (``_energy_ranks``)."""
-    return _spearman(u), _spearman(_energy_ranks(u))
 
 
 def _detection_threshold(n_channels: int, n_samples: int) -> float:
@@ -189,7 +166,8 @@ def detect_partition(pseudo: PseudoObservations) -> BlockPartition:
     if pseudo.n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {pseudo.n_samples}")
     threshold = _detection_threshold(pseudo.n_channels, pseudo.n_samples)
-    plain, energy = _rank_correlations(pseudo.values)
+    plain = _spearman(pseudo.values)
+    energy = _spearman(_energy_ranks(pseudo.values))
     edges = (np.abs(plain) > threshold) | (np.abs(energy) > threshold)
     n_blocks, labels = connected_components(edges, directed=False)
     return BlockPartition(tuple(np.flatnonzero(labels == k) for k in range(n_blocks)), pseudo.n_channels)
@@ -287,17 +265,21 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
         copula describes ``sources`` with those rows negated.
     """
     menu = _check_menu(families)
+    _check_partition(partition, sources.n_channels)
     return _fit_dependence(pseudo_observations(sources), menu, partition)
+
+
+def _check_partition(partition: BlockPartition | None, n_channels: int):
+    if partition is not None and partition.n_channels != n_channels:
+        raise ValueError(f"partition covers {partition.n_channels} channels, data has {n_channels}")
 
 
 def _fit_dependence(pseudo: PseudoObservations, menu, partition: BlockPartition | None):
     """``fit_dependence`` on the sources' pseudo-observations, with a
-    checked menu."""
+    checked menu and partition."""
     n = pseudo.n_channels
     if partition is None:
         partition = detect_partition(pseudo)
-    elif partition.n_channels != n:
-        raise ValueError(f"partition covers {partition.n_channels} channels, data has {n}")
 
     flips = np.zeros(n, dtype=bool)
     models = []
@@ -376,25 +358,20 @@ def _pair_log_likelihood(s: np.ndarray, model: Copula) -> float:
     return value if np.isfinite(value) else -np.inf
 
 
-def _transformed_log_likelihood(y: np.ndarray, angles, model: Copula) -> float:
+def _polish_log_likelihood(y: np.ndarray, p, cls) -> float:
     """Mean log likelihood per sample of the pair y (uncorrelated, unit
-    variance) under sources B y, B's rows the unit vectors at ``angles``;
-    -inf unless det B = sin(a2 - a1) > 0."""
-    det = np.sin(angles[1] - angles[0])
+    variance) under sources B y, B's rows the unit vectors at the angles
+    p[:2], and the family ``cls`` with theta = cls._theta_floor + exp(p[2]),
+    p unconstrained; -inf where det B = sin(a2 - a1) <= 0 or exp
+    overflows."""
+    det = np.sin(p[1] - p[0])
     if det <= 0.0:
         return -np.inf
-    return np.log(det) + _pair_log_likelihood(_unit_rows(angles) @ y, model)
-
-
-def _polish_log_likelihood(y: np.ndarray, p, cls) -> float:
-    """``_transformed_log_likelihood`` of y at the angles p[:2] under the
-    family ``cls`` with theta = cls._theta_floor + exp(p[2]), p
-    unconstrained; -inf where exp overflows."""
     with np.errstate(over="ignore"):
         theta = cls._theta_floor + np.exp(p[2])
     if not np.isfinite(theta):
         return -np.inf
-    return _transformed_log_likelihood(y, p[:2], cls(theta, 2))
+    return np.log(det) + _pair_log_likelihood(_unit_rows(p[:2]) @ y, cls(theta, 2))
 
 
 def _refine_pair(y: np.ndarray, families):
@@ -539,7 +516,8 @@ def cca_fit(
     maximum likelihood (margins by m-spacing entropy, dependence by the
     copula), and the copulas are refitted on the transformed pair with
     the partition kept. Deterministic for a fixed seed. Needs at least
-    100 samples, checked before any work.
+    100 samples; that, the family menu and the partition's channel count
+    are checked before any work.
 
     Returns
     -------
@@ -547,13 +525,14 @@ def cca_fit(
     """
     if x.n_samples < 100:
         raise ValueError(f"need at least 100 samples to fit a copula, got {x.n_samples}")
+    menu = _check_menu(families)
+    _check_partition(partition, x.n_channels)
     z, mean, whitening = center_and_whiten(x)
     rotation, iterations = fastica(z, max_iter=max_iter, seed=seed)
     rotation = normalize_components(rotation, z)
     components = SignalMatrix(rotation @ z.values)
     del z  # phase 2 and the report need only the components
 
-    menu = _check_menu(families)
     t = x.n_samples
     ranks = _average_ranks(components.values)
     part, copula, flips = _fit_dependence(PseudoObservations(ranks / (t + 1)), menu, partition)

@@ -1,5 +1,5 @@
-"""Marginal-distribution machinery: rank transforms, empirical quantiles,
-histogram densities, and parametric margin samplers for synthesis.
+"""Marginal-distribution machinery: rank transforms, histogram densities,
+and parametric margin samplers for synthesis.
 """
 from __future__ import annotations
 
@@ -14,10 +14,8 @@ __all__ = [
     "PseudoObservations",
     "MarginalModel",
     "pseudo_observations",
-    "marginal_quantile",
     "sample_margin",
     "margin_ppf",
-    "MARGIN_NAMES",
 ]
 
 MARGIN_NAMES = ("uniform", "gaussian", "laplace")
@@ -107,22 +105,22 @@ def _bin_count(x: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MarginalModel:
-    """Empirical margins: order statistics plus a histogram density.
+    """Empirical margins: a histogram density per channel.
 
     ``bin_edges[i]`` and ``bin_probs[i]`` describe channel i's histogram
     (Freedman-Diaconis bins, at most T of them; see ``_bin_count``);
-    probabilities sum to one per channel.
+    probabilities sum to one per channel. ``n_samples`` is the T the
+    histograms were fitted on.
     """
 
-    sorted_values: np.ndarray
+    n_samples: int
     bin_edges: tuple
     bin_probs: tuple
 
     def __post_init__(self):
-        sorted_values = _frozen_array(self.sorted_values, "sorted values", 2)
-        if np.any(sorted_values[:, 1:] < sorted_values[:, :-1]):
-            raise ValueError("per-channel values must be sorted nondecreasing")
-        if len(self.bin_edges) != sorted_values.shape[0] or len(self.bin_probs) != sorted_values.shape[0]:
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+        if len(self.bin_edges) != len(self.bin_probs):
             raise ValueError("need one histogram per channel")
         edges = []
         probs = []
@@ -137,14 +135,12 @@ class MarginalModel:
                 raise ValueError(f"channel {i}: bin probabilities sum to {p.sum()!r}, not 1")
             edges.append(e)
             probs.append(p)
-        object.__setattr__(self, "sorted_values", sorted_values)
         object.__setattr__(self, "bin_edges", tuple(edges))
         object.__setattr__(self, "bin_probs", tuple(probs))
 
     @classmethod
     def fit(cls, signals: SignalMatrix) -> "MarginalModel":
-        """Order statistics and histograms of each channel, from one sort
-        per row.
+        """Histogram of each channel, from one sort per row.
 
         The edges are numpy's for ``_bin_count`` bins. Bin k counts the
         values in [e_k, e_{k+1}), the last bin closed, which is how
@@ -165,15 +161,11 @@ class MarginalModel:
             below[-1] = t
             edges.append(e)
             probs.append(np.diff(below) / t)
-        return cls(sorted_values, tuple(edges), tuple(probs))
+        return cls(t, tuple(edges), tuple(probs))
 
     @property
     def n_channels(self) -> int:
-        return self.sorted_values.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.sorted_values.shape[1]
+        return len(self.bin_edges)
 
     def _bin_density(self, channel: int):
         """Density of each bin of the channel's histogram, floored at
@@ -229,26 +221,6 @@ class MarginalModel:
     def density_floor_hits(self, values: np.ndarray) -> int:
         """How many evaluation points fell below the density floor."""
         return self._log_density_and_floor_hits(values)[1]
-
-
-def marginal_quantile(model: MarginalModel, channel: int, q: float) -> float:
-    """Empirical quantile by linear interpolation of order statistics.
-
-    The quantile level q maps to position q*(T+1) among the order
-    statistics; positions beyond the extremes clamp to the extreme values.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must be inside (0, 1), got {q}")
-    x = model.sorted_values[channel]
-    t = x.shape[0]
-    pos = q * (t + 1)
-    if pos <= 1.0:
-        return float(x[0])
-    if pos >= t:
-        return float(x[-1])
-    lo = int(np.floor(pos))
-    frac = pos - lo
-    return float(x[lo - 1] + frac * (x[lo] - x[lo - 1]))
 
 
 def _check_margin(name: str, params):

@@ -32,12 +32,11 @@ from copsep import (
     mix,
     normalize_components,
     pseudo_observations,
-    select_family,
 )
 from copsep import cli, copulas, inference, margins
 from copsep.exceptions import BlockFitError, FamilyDomainError
-from copsep.copulas import FAMILY_NAMES, _THETA_TOL
-from copsep.inference import _best_orientation, _rank_correlations
+from copsep.copulas import FAMILY_NAMES, _THETA_TOL, _spearman
+from copsep.inference import _best_orientation, _energy_ranks
 from copsep.margins import MarginalModel, PseudoObservations, margin_ppf
 
 
@@ -178,7 +177,7 @@ class TestCalibratedDetection:
             rng.laplace(size=600),
         ])
         u = pseudo_observations(SignalMatrix(values)).values
-        plain, energy = _rank_correlations(u)
+        plain, energy = _spearman(u), _spearman(_energy_ranks(u))
         energies = np.abs(2.0 * rankdata(values, axis=1) - 601)
         assert_allclose(plain, spearmanr(u, axis=1).statistic, rtol=0.0, atol=1e-12)
         assert_allclose(energy, spearmanr(energies, axis=1).statistic, rtol=0.0, atol=1e-12)
@@ -205,7 +204,7 @@ class TestCalibratedDetection:
         for c in np.linspace(0.0, 0.2, 41):
             other = base * c + noise if kind == "plain" else noise * np.exp(c * np.abs(base))
             pseudo = pseudo_observations(SignalMatrix(np.vstack([base, other])))
-            plain, energy = _rank_correlations(pseudo.values)
+            plain, energy = _spearman(pseudo.values), _spearman(_energy_ranks(pseudo.values))
             above = max(abs(plain[0, 1]), abs(energy[0, 1])) > threshold
             assert (detect_partition(pseudo).n_blocks == 1) == above, c
             joined.append(above)
@@ -251,11 +250,17 @@ class TestCalibratedDetection:
 
 
 class TestSelectFamily:
+    """The family an orientation search picks when it may flip nothing."""
+
     MENU = ("product", "gaussian", "clayton")
+
+    @staticmethod
+    def select_family(u, menu):
+        return _best_orientation(u, menu, orient=False)[1].family
 
     def test_clayton_data_selects_clayton(self):
         wins = sum(
-            select_family(ClaytonCopula(2.0, 2).sample(10000, seed=300 + k), self.MENU)
+            self.select_family(ClaytonCopula(2.0, 2).sample(10000, seed=300 + k), self.MENU)
             == "clayton"
             for k in range(20)
         )
@@ -266,29 +271,19 @@ class TestSelectFamily:
         # dependent pick rarer as T grows (an AIC-type 1/T penalty is
         # overshot with probability P(chi2_1 > 2) ~ 0.16 at any T).
         wins = sum(
-            select_family(ProductCopula(2).sample(10000, seed=400 + k), self.MENU) == "product"
+            self.select_family(ProductCopula(2).sample(10000, seed=400 + k), self.MENU) == "product"
             for k in range(20)
         )
         assert wins >= 18
 
     def test_singleton_menu(self):
         u = ClaytonCopula(2.0, 2).sample(500, seed=1)
-        assert select_family(u, ("product",)) == "product"
-
-    def test_rejects_singleton_block(self):
-        u = ProductCopula(1).sample(500, seed=2)
-        with pytest.raises(ValueError, match="dimension at least 2"):
-            select_family(u, self.MENU)
-
-    def test_rejects_empty_menu(self):
-        u = ProductCopula(2).sample(500, seed=3)
-        with pytest.raises(ValueError, match="menu"):
-            select_family(u, ())
+        assert self.select_family(u, ("product",)) == "product"
 
     def test_gumbel_skipped_on_negative_dependence(self):
         u = GumbelCopula(2.0).sample(2000, seed=5)
         flipped = PseudoObservations(np.vstack([u.values[0], 1.0 - u.values[1]]))
-        assert select_family(flipped, ("product", "gumbel")) == "product"
+        assert self.select_family(flipped, ("product", "gumbel")) == "product"
 
 
 class TestKlDecomposition:
@@ -425,8 +420,6 @@ class TestFitDependence:
         s = SignalMatrix(margin_ppf("laplace", (0.0, 1.0), u.values))
         with pytest.raises(ValueError, match="need at least 100 samples"):
             fit_dependence(s, families=menu, partition=BlockPartition(((0, 1),), 2))
-        with pytest.raises(ValueError, match="need at least 100 samples"):
-            select_family(u, menu)
 
     def test_block_fit_error_names_block(self):
         rng = np.random.default_rng(10)
@@ -749,14 +742,24 @@ class TestCcaFit:
         assert inference._polish_log_likelihood(y, np.array(angles + [800.0]), cls) == -np.inf
         assert np.isfinite(inference._polish_log_likelihood(y, np.array(angles + [0.0]), cls))
 
-    def test_short_input_fails_before_the_rotation_phase(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "samples, options, match",
+        [
+            (60, {"partition": BlockPartition.singletons(3)}, "need at least 100 samples"),
+            (500, {"families": ("bogus",)}, "unknown family 'bogus'"),
+            (500, {"families": ()}, "menu must not be empty"),
+            (500, {"partition": BlockPartition.singletons(2)}, "partition covers 2 channels, data has 3"),
+        ],
+        ids=["short-input", "unknown-family", "empty-menu", "partition-size"],
+    )
+    def test_invalid_input_fails_before_the_rotation_phase(self, monkeypatch, samples, options, match):
         def fail(*args, **kwargs):
             raise AssertionError("fastica ran")
 
         monkeypatch.setattr(inference, "fastica", fail)
-        x = SignalMatrix(np.random.default_rng(25).laplace(size=(3, 60)))
-        with pytest.raises(ValueError, match="need at least 100 samples"):
-            cca_fit(x, partition=BlockPartition.singletons(3))
+        x = SignalMatrix(np.random.default_rng(25).laplace(size=(3, samples)))
+        with pytest.raises(ValueError, match=match):
+            cca_fit(x, **options)
 
     def test_explicit_partition_forces_block_structure(self):
         rng = np.random.default_rng(23)

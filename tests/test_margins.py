@@ -10,7 +10,6 @@ from copsep import (
     PseudoObservations,
     SignalMatrix,
     margin_ppf,
-    marginal_quantile,
     pseudo_observations,
     sample_margin,
 )
@@ -103,43 +102,6 @@ class TestAverageRanks:
         assert_same_ranks_as_scipy(energy)
 
 
-class TestMarginalQuantile:
-    def test_interpolation(self):
-        model = MarginalModel.fit(SignalMatrix([np.arange(10.0)]))
-        # hand interpolation on [0..9]: q=0.4 -> position 4.4 -> 3.4
-        assert marginal_quantile(model, 0, 0.4) == pytest.approx(3.4, abs=1e-12)
-
-    def test_position_two_of_five(self):
-        model = MarginalModel(
-            np.array([[0.0, 1.0, 2.0, 3.0]]), (np.array([0.0, 3.0]),), (np.array([1.0]),)
-        )
-        assert marginal_quantile(model, 0, 0.4) == pytest.approx(1.0, abs=1e-12)
-
-    def test_clamps_to_extremes(self):
-        model = MarginalModel(
-            np.array([[0.0, 1.0, 2.0, 3.0]]), (np.array([0.0, 3.0]),), (np.array([1.0]),)
-        )
-        assert marginal_quantile(model, 0, 0.2) == 0.0  # position 1.0 of 5
-        assert marginal_quantile(model, 0, 0.999) == 3.0
-
-    @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.3])
-    def test_rejects_bad_levels(self, q):
-        model = MarginalModel.fit(SignalMatrix([np.arange(10.0)]))
-        with pytest.raises(ValueError):
-            marginal_quantile(model, 0, q)
-
-    def test_round_trip_through_pseudo_observations(self):
-        rng = np.random.default_rng(3)
-        s = SignalMatrix(rng.standard_normal((2, 80)))
-        u = pseudo_observations(s)
-        model = MarginalModel.fit(s)
-        for i in range(2):
-            gaps = np.diff(model.sorted_values[i]).max()
-            for t in range(0, 80, 7):
-                back = marginal_quantile(model, i, u.values[i, t])
-                assert abs(back - s.values[i, t]) <= gaps + 1e-12
-
-
 class TestMarginalModel:
     def test_histogram_probabilities_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -177,11 +139,11 @@ class TestMarginalModel:
         with pytest.raises(ValueError, match="samples"):
             MarginalModel.fit(SignalMatrix(np.ones((1, 3)) * np.arange(3.0)))
 
-    def test_sorted_values_must_be_nondecreasing(self):
+    def test_sample_count_must_be_positive(self):
         edges, probs = (np.array([0.0, 1.0]),) * 2, (np.array([1.0]),) * 2
-        MarginalModel(np.array([[0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0]]), edges, probs)
-        with pytest.raises(ValueError, match="per-channel values must be sorted nondecreasing"):
-            MarginalModel(np.array([[0.0, 0.5, 0.5, 1.0], [0.0, 0.25, 0.2, 1.0]]), edges, probs)
+        assert MarginalModel(4, edges, probs).n_channels == 2
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            MarginalModel(0, edges, probs)
 
     def test_far_outlier_caps_bins_at_sample_count(self):
         # Freedman-Diaconis alone asks for 1 011 603 bins here
