@@ -505,6 +505,13 @@ class TestFitCopula:
         with pytest.raises(FamilyDomainError, match="bivariate"):
             fit_copula(u, "gumbel")
 
+    @pytest.mark.parametrize("family", ["clayton", "gumbel"])
+    def test_one_channel_is_rejected_before_the_tau_estimate(self, family):
+        # the Spearman rho of one channel has no off-diagonal entry to average
+        u = ProductCopula(1).sample(500, seed=2)
+        with pytest.raises(FamilyDomainError, match=f"{family} models dependence between channels and needs at least 2, got 1"):
+            fit_copula(u, family)
+
     def test_product_fit(self):
         u = ProductCopula(4).sample(200, seed=6)
         model = fit_copula(u, "product")

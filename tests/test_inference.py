@@ -1,3 +1,4 @@
+import json
 import warnings
 from functools import lru_cache
 from itertools import product as cartesian
@@ -596,6 +597,132 @@ class TestSpacingEntropyAndRanks:
         assert np.array_equal(u, expected_u)
         if shape[1] == 100:
             assert entropy[-1] == -np.inf
+
+
+def reference_pair_log_likelihood(s, model):
+    """Reference: the pair objective with the copula density evaluated at
+    the pseudo-observations themselves, not read off the rank lattice."""
+    entropy, u = put_along_axis_entropy_and_ranks(s)
+    value = float(np.mean(model.log_density(u))) - entropy.sum()
+    return value if np.isfinite(value) else -np.inf
+
+
+def reference_grid_scores(y, family):
+    """Reference: the angle grid scored pair by pair, each pair's density
+    evaluated at its two rows of pseudo-observations."""
+    n_angles = inference._GRID_ANGLES
+    k_max = n_angles // 2
+    step = 2.0 * np.pi / n_angles
+    sub = y[:, :: max(1, y.shape[1] // inference._GRID_SAMPLES)]
+    angles = step * np.arange(k_max)
+    entropy, u = put_along_axis_entropy_and_ranks(np.stack([np.cos(angles), np.sin(angles)], axis=-1) @ sub)
+    entropy = np.tile(np.where(np.isfinite(entropy), entropy, np.inf), 2)
+    u = np.concatenate([u, 1.0 - u])
+    tau = 2.0 / np.pi * np.arcsin(np.clip(copulas.normal_scores_correlation(u), -1.0, 1.0))
+    cls = copulas._THETA_FAMILIES[family]
+    scored = []
+    for i in range(n_angles):
+        for k in range(1, k_max):
+            j = (i + k) % n_angles
+            if not 0.0 < tau[i, j] < 1.0:
+                continue
+            model = cls(copulas._theta_from_tau(family, tau[i, j]), 2)
+            log_density = model.log_density(u[[i, j]])
+            score = np.log(np.sin(k * step)) - entropy[i] - entropy[j] + float(np.mean(log_density))
+            if np.isfinite(score):
+                scored.append((score, i, k))
+    scored.sort(key=lambda item: -item[0])
+    return scored
+
+
+def whitened_pair(cls, t, seed):
+    """A cls(2) pair with laplace margins, mixed and whitened: the input
+    the pair refinement gets."""
+    s = SignalMatrix(margin_ppf("laplace", (0.0, 1.0), cls(2.0, 2).sample(t, seed=seed).values))
+    z, _, _ = center_and_whiten(mix(s, well_conditioned_mixing(np.random.default_rng(seed), 2)))
+    return z.values
+
+
+class TestRankLattice:
+    """The pair refinement reads the copula's theta-free terms off tables
+    on the rank lattice k / (T + 1); every score must equal, bit for bit,
+    the density evaluated at the pseudo-observations."""
+
+    @pytest.mark.parametrize("t", [500, 5000, 20000])
+    @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
+    def test_pair_log_likelihood_bit_identical_to_reference(self, cls, t):
+        y = whitened_pair(cls, t, seed=t)
+        for angles in [(0.0, np.pi / 2.0), (0.3, 1.2), (2.0, 4.5), (5.9, 6.5)]:
+            s = inference._unit_rows(angles) @ y
+            for theta in (1.3, 2.0, 7.5):
+                model = cls(theta, 2)
+                value = inference._pair_log_likelihood(s, model)
+                assert np.isfinite(value)
+                assert value == reference_pair_log_likelihood(s, model)
+
+    @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
+    def test_tied_values_score_minus_inf(self, cls):
+        # rounding leaves far more than m + 1 = 23 equal values in a row of
+        # 500: a zero spacing, so the entropy is -inf and the score -inf
+        y = np.round(whitened_pair(cls, 500, seed=1), 1)
+        s = inference._unit_rows([0.0, 1.2]) @ y
+        assert reference_pair_log_likelihood(s, cls(2.0, 2)) == -np.inf
+        assert inference._pair_log_likelihood(s, cls(2.0, 2)) == -np.inf
+
+    @pytest.mark.parametrize("t", [500, 5000, 20000])
+    @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
+    def test_grid_scores_bit_identical_to_reference(self, cls, t):
+        y = whitened_pair(cls, t, seed=t + 1)
+        directions = inference._grid_directions(y)
+        for family in ("clayton", "gumbel"):
+            scored = inference._grid_scores(directions, family)
+            assert len(scored) > 100
+            assert scored == reference_grid_scores(y, family)
+
+
+class TestPairRefinement:
+    def test_polish_evaluation_budget(self, monkeypatch):
+        # polished from axis-aligned simplices to xatol = 5e-3 and
+        # fatol = 1e-5, this pair took 315 evaluations (and the cli-loop
+        # benchmark's `copsep synth` input, seed 11, took 276 + 4)
+        calls = []
+        evaluate = inference._polish_log_likelihood
+        monkeypatch.setattr(
+            inference, "_polish_log_likelihood", lambda y, p, cls: calls.append(1) or evaluate(y, p, cls)
+        )
+        out = inference._refine_pair(whitened_pair(GumbelCopula, 20000, seed=11), ("clayton", "gumbel"))
+        assert len(out) == 2
+        assert len(calls) <= 315 // 2
+
+    def test_pair_accuracy(self, tmp_path):
+        # the cli-loop benchmark's `copsep synth` recipe at T = 10 000;
+        # polished from axis-aligned simplices to xatol = 5e-3 and
+        # fatol = 1e-5, the mean Amari index over these ten pairs was
+        # 0.022770 (gumbel 0.025349, clayton 0.020191), and the clayton
+        # pair of seed 2 got theta 1.597
+        amari, thetas = [], []
+        for family in ("gumbel", "clayton"):
+            for seed in range(5):
+                data, truth = tmp_path / f"{family}{seed}.csv", tmp_path / f"{family}{seed}.json"
+                assert cli.main([
+                    "synth", "--channels", "3", "--samples", "10000", "--partition", "1,2|3",
+                    "--copula", family, "--theta", "2", "--margins", "laplace", "--mix", "random",
+                    "--seed", str(seed), "--out", str(data), "--truth-out", str(truth),
+                ]) == 0
+                mixing = np.asarray(json.loads(truth.read_text())["mixing"])
+                separation, report = cca_fit(cli.read_signal_csv(data), seed=seed)
+                gain = separation.demixing @ mixing
+                perm = align_permutation(gain)
+                pairs = [
+                    model
+                    for block, model in zip(report.partition.blocks, report.copula.blocks)
+                    if sorted(perm[i] for i in block) == [0, 1]
+                ]
+                assert len(pairs) == 1 and pairs[0].family == family, f"{family} seed {seed}"
+                thetas.append(pairs[0].theta)
+                amari.append(amari_index(gain))
+        assert 1.6 <= min(thetas) and max(thetas) <= 2.4, thetas
+        assert np.mean(amari) <= 0.022770
 
 
 class TestCcaFit:
