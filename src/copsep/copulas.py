@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
@@ -192,16 +193,10 @@ class ClaytonCopula(Copula):
         return np.exp(-self._log_powsum(np.log(pts)) / self.theta)
 
     @staticmethod
-    def _coordinate_terms(pts):
-        """The theta-free terms of the log density that are elementwise
-        functions of the points, each shaped like ``pts``: log u."""
-        return (np.log(pts),)
-
-    @staticmethod
-    def _log_terms(coordinate_terms):
-        """The theta-free terms of the log density, from those of
-        :meth:`_coordinate_terms`: log u and its sum over the channels."""
-        (log_u,) = coordinate_terms
+    def _log_terms(pts):
+        """The theta-free terms of the log density: log u and its sum over
+        the channels."""
+        log_u = np.log(pts)
         return log_u, log_u.sum(axis=0)
 
     def _log_density_of(self, terms):
@@ -212,7 +207,7 @@ class ClaytonCopula(Copula):
         return lead - (th + 1.0) * log_u_sum - (1.0 / th + d) * self._log_powsum(log_u)
 
     def _log_density(self, pts):
-        return self._log_density_of(self._log_terms(self._coordinate_terms(pts)))
+        return self._log_density_of(self._log_terms(pts))
 
     def _sample(self, n, rng):
         # gamma-frailty construction: u_i = (1 + e_i / v)^{-1/theta}
@@ -262,19 +257,11 @@ class GumbelCopula(Copula):
         return np.exp(-np.exp(self._log_powsum(np.log(-np.log(pts))) / self.theta))
 
     @staticmethod
-    def _coordinate_terms(pts):
-        """The theta-free terms of the log density that are elementwise
-        functions of the points, each shaped like ``pts``: log u and
-        log(-log u)."""
+    def _log_terms(pts):
+        """The theta-free terms of the log density: log(-log u) per
+        channel, its sum over the channels, and the sum of log u."""
         log_u = np.log(pts)
-        return log_u, np.log(-log_u)
-
-    @staticmethod
-    def _log_terms(coordinate_terms):
-        """The theta-free terms of the log density, from those of
-        :meth:`_coordinate_terms`: log(-log u) per channel, its sum over
-        the channels, and the sum of log u."""
-        log_u, log_x = coordinate_terms
+        log_x = np.log(-log_u)
         return log_x, log_x[0] + log_x[1], log_u.sum(axis=0)
 
     def _log_density_of(self, terms):
@@ -292,7 +279,7 @@ class GumbelCopula(Copula):
         )
 
     def _log_density(self, pts):
-        return self._log_density_of(self._log_terms(self._coordinate_terms(pts)))
+        return self._log_density_of(self._log_terms(pts))
 
     def _sample(self, n, rng):
         # Marshall-Olkin frailty as for clayton: u_i = exp(-(e_i / v)^a) with v
@@ -376,8 +363,6 @@ _THETA_FAMILIES = {"clayton": ClaytonCopula, "gumbel": GumbelCopula}
 
 def _bvn_cdf(a: float, b: float, r: float) -> float:
     """Standard bivariate normal cdf P(X <= a, Y <= b) by 1-d quadrature."""
-    from scipy.integrate import quad  # here, its only use: importing scipy.integrate costs ~2.8 MiB of memory
-
     s = np.sqrt(1.0 - r * r)
     norm = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -503,7 +488,7 @@ def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
     theta0 = _theta_from_tau(family, min(tau, 0.9999))
     cls = _THETA_FAMILIES[family]
     floor = cls._theta_floor
-    terms = cls._log_terms(cls._coordinate_terms(pseudo.values))
+    terms = cls._log_terms(pseudo.values)
 
     def loss(th):
         return -float(np.mean(cls(th, d)._log_density_of(terms)))

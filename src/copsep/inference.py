@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as _cartesian
 
 import numpy as np
@@ -344,72 +343,30 @@ def _unit_rows(angles) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def _spacing_entropy_and_order(s: np.ndarray):
+def _spacing_entropy_and_ranks(s: np.ndarray):
     """Per row of s: the m-spacing differential entropy estimate with
-    m = round(sqrt(T)), and the argsort that orders the row. The entropy
-    is -inf for a row with m + 1 equal values."""
+    m = round(sqrt(T)), and the pseudo-observations rank / (T + 1), both
+    from one sort. The entropy is -inf for a row with m + 1 equal values."""
     t = s.shape[1]
     m = max(1, int(round(np.sqrt(t))))
     order = np.argsort(s, axis=1)
     ordered = np.take_along_axis(s, order, axis=1)
     with np.errstate(divide="ignore"):
         entropy = np.log((t + 1) / m * (ordered[:, m:] - ordered[:, :-m])).mean(axis=1)
-    return entropy, order
-
-
-def _lattice(t: int) -> np.ndarray:
-    """The rank lattice: the pseudo-observations k / (T + 1), k = 1..T."""
-    return np.arange(1, t + 1) / (t + 1)
-
-
-def _at_ranks(order: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per row of ``order`` (each row an argsort of T samples), table[k - 1]
-    at the sample of rank k, by one direct scatter per row."""
-    out = np.empty(order.shape)
-    for row, row_order in zip(out, order):
-        row[row_order] = table
-    return out
-
-
-def _spacing_entropy_and_ranks(s: np.ndarray):
-    """Per row of s: the m-spacing entropy of ``_spacing_entropy_and_order``
-    and the pseudo-observations rank / (T + 1), both from one sort."""
-    entropy, order = _spacing_entropy_and_order(s)
-    return entropy, _at_ranks(order, _lattice(s.shape[1]))
-
-
-@lru_cache(maxsize=4)
-def _lattice_terms(cls, t: int):
-    """The coordinate terms of the clayton or gumbel class ``cls`` (its
-    ``_coordinate_terms``) on the rank lattice of T samples, read-only.
-    They are elementwise functions of u, so placing them by a row's sort
-    order gives, bit for bit, their values at that row's pseudo-observations.
-    The pair refinement asks for two sample counts per family, so four
-    entries hold them all."""
-    terms = cls._coordinate_terms(_lattice(t))
-    for table in terms:
-        table.flags.writeable = False
-    return terms
+    u = np.empty(s.shape)
+    scale = np.arange(1, t + 1) / (t + 1)
+    for row, row_order in zip(u, order):
+        row[row_order] = scale
+    return entropy, u
 
 
 def _pair_log_likelihood(s: np.ndarray, model: Copula) -> float:
     """Mean log likelihood per sample of unit-variance source coordinates
     s (2 x T), leaving out the log-determinant of the transform that made
     them: minus the m-spacing entropies of the rows plus the mean log
-    copula density of their ranks. -inf when s has tied values.
-
-    A clayton or gumbel density takes its theta-free terms from the rank
-    lattice (``_lattice_terms``), scattered by the sort that the entropy
-    needs anyway, so no log of the pseudo-observations is taken per call;
-    other models are evaluated at the pseudo-observations."""
-    entropy, order = _spacing_entropy_and_order(s)
-    cls = type(model)
-    if cls in _THETA_FAMILIES.values():
-        coordinate_terms = [_at_ranks(order, table) for table in _lattice_terms(cls, s.shape[1])]
-        log_density = model._log_density_of(cls._log_terms(coordinate_terms))
-    else:
-        log_density = model._log_density(_at_ranks(order, _lattice(s.shape[1])))
-    value = float(np.mean(log_density)) - entropy.sum()
+    copula density of their ranks. -inf when s has tied values."""
+    entropy, u = _spacing_entropy_and_ranks(s)
+    value = float(np.mean(model._log_density(u))) - entropy.sum()
     return value if np.isfinite(value) else -np.inf
 
 
@@ -427,60 +384,6 @@ def _polish_log_likelihood(y: np.ndarray, p, cls) -> float:
     if not np.isfinite(theta):
         return -np.inf
     return np.log(det) + _pair_log_likelihood(_unit_rows(p[:2]) @ y, cls(theta, 2))
-
-
-def _grid_directions(y: np.ndarray):
-    """The directions of the angle grid on a strided subsample of about
-    _GRID_SAMPLES samples of the pair y (2 x T).
-
-    Returns
-    -------
-    (entropy, u, tau, pairs) : per direction at angle index i (of
-    _GRID_ANGLES) its m-spacing entropy, its pseudo-observations and
-    the Kendall tau of their normal-scores correlation with every other
-    direction; and the (first angle index, angle gap index) pairs with
-    positive dependence.
-    """
-    t = y.shape[1]
-    k_max = _GRID_ANGLES // 2
-    step = 2.0 * np.pi / _GRID_ANGLES
-    sub = y[:, :: max(1, t // _GRID_SAMPLES)]
-    # a direction and its opposite give the same entropy and mirrored ranks;
-    # a direction with tied values gets entropy +inf, so it never scores
-    entropy, u = _spacing_entropy_and_ranks(_unit_rows(step * np.arange(k_max)) @ sub)
-    entropy = np.tile(np.where(np.isfinite(entropy), entropy, np.inf), 2)
-    u = np.concatenate([u, 1.0 - u])
-    tau = 2.0 / np.pi * np.arcsin(np.clip(normal_scores_correlation(u), -1.0, 1.0))
-    pairs = [
-        (i, k)
-        for i in range(_GRID_ANGLES)
-        for k in range(1, k_max)
-        if 0.0 < tau[i, (i + k) % _GRID_ANGLES] < 1.0
-    ]
-    return entropy, u, tau, pairs
-
-
-def _grid_scores(directions, family: str):
-    """Every direction pair of ``_grid_directions`` with a finite score
-    under ``family``, best first, as (score, i, k): the likelihood of
-    ``_polish_log_likelihood`` on the grid's subsample at the angles
-    a1 = i step, a2 = (i + k) step and theta from a Kendall-tau inversion.
-    The family's coordinate terms are computed once per direction, not
-    once per pair that direction is in."""
-    entropy, u, tau, pairs = directions
-    step = 2.0 * np.pi / _GRID_ANGLES
-    cls = _THETA_FAMILIES[family]
-    coordinate_terms = cls._coordinate_terms(u)
-    scored = []
-    for i, k in pairs:
-        j = (i + k) % _GRID_ANGLES
-        model = cls(_theta_from_tau(family, tau[i, j]), 2)
-        log_density = model._log_density_of(cls._log_terms([terms[[i, j]] for terms in coordinate_terms]))
-        score = np.log(np.sin(k * step)) - entropy[i] - entropy[j] + float(np.mean(log_density))
-        if np.isfinite(score):
-            scored.append((score, i, k))
-    scored.sort(key=lambda item: -item[0])
-    return scored
 
 
 def _start_simplex(tau: np.ndarray, family: str, i: int, k: int) -> np.ndarray:
@@ -531,10 +434,10 @@ def _refine_pair(y: np.ndarray, families):
     A single local search stalls in worse optima on some data, so every
     direction pair of the angle grid is a start, scored on a subsample
     with theta from a Kendall-tau inversion of the normal-scores
-    correlation (``_grid_scores``). The best _POLISH_STARTS starts per
-    family are polished by Nelder-Mead over (a1, a2, log(theta - floor))
-    on a larger subsample, from a first simplex laid along the likelihood
-    ridge (``_start_simplex``) and stopped at that subsample's resolution
+    correlation. The best _POLISH_STARTS starts per family are polished
+    by Nelder-Mead over (a1, a2, log(theta - floor)) on a larger
+    subsample, from a first simplex laid along the likelihood ridge
+    (``_start_simplex``) and stopped at that subsample's resolution
     (_POLISH_XATOL, _POLISH_FATOL); their optima differ by about that
     subsample's noise, so the best is chosen on all of y.
 
@@ -543,14 +446,42 @@ def _refine_pair(y: np.ndarray, families):
     list of (log likelihood, B) : one per family that has a start.
     """
     t = y.shape[1]
-    directions = _grid_directions(y)
+    k_max = _GRID_ANGLES // 2
+    step = 2.0 * np.pi / _GRID_ANGLES
+    sub = y[:, :: max(1, t // _GRID_SAMPLES)]
+    # a direction and its opposite give the same entropy and mirrored ranks;
+    # a direction with tied values gets entropy +inf, so it never scores
+    entropy, u = _spacing_entropy_and_ranks(_unit_rows(step * np.arange(k_max)) @ sub)
+    entropy = np.tile(np.where(np.isfinite(entropy), entropy, np.inf), 2)
+    u = np.concatenate([u, 1.0 - u])
+    tau = 2.0 / np.pi * np.arcsin(np.clip(normal_scores_correlation(u), -1.0, 1.0))
+    # (first angle index, angle gap index) with positive dependence
+    grid = [
+        (i, k)
+        for i in range(_GRID_ANGLES)
+        for k in range(1, k_max)
+        if 0.0 < tau[i, (i + k) % _GRID_ANGLES] < 1.0
+    ]
     polish = y[:, :: max(1, t // _POLISH_SAMPLES)]
     out = []
     for family in families:
         cls = _THETA_FAMILIES[family]
+        scored = []
+        for i, k in grid:
+            j = (i + k) % _GRID_ANGLES
+            model = cls(_theta_from_tau(family, tau[i, j]), 2)
+            score = (
+                np.log(np.sin(k * step))
+                - entropy[i]
+                - entropy[j]
+                + float(np.mean(model._log_density(u[[i, j]])))
+            )
+            if np.isfinite(score):
+                scored.append((score, i, k))
+        scored.sort(key=lambda item: -item[0])
         best = None
-        for _, i, k in _grid_scores(directions, family)[:_POLISH_STARTS]:
-            simplex = _start_simplex(directions[2], family, i, k)
+        for _, i, k in scored[:_POLISH_STARTS]:
+            simplex = _start_simplex(tau, family, i, k)
             x = minimize(
                 lambda p: -_polish_log_likelihood(polish, p, cls), simplex[0], method="Nelder-Mead",
                 options={"initial_simplex": simplex, "xatol": _POLISH_XATOL, "fatol": _POLISH_FATOL},

@@ -29,17 +29,3 @@ def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, copsep; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
-
-
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate holds about 2.8 MiB once imported; only the gaussian
-    # copula's cdf needs it, and imports it when called
-    src = str(Path(copsep.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (
-        "import sys, numpy, copsep; loaded = 'scipy.integrate' in sys.modules; "
-        "copsep.GaussianCopula(numpy.array([[1.0, 0.5], [0.5, 1.0]])).cdf([0.3, 0.6]); "
-        "print(loaded, 'scipy.integrate' in sys.modules)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False True"
