@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
-from .exceptions import FamilyDomainError
+from .exceptions import DegenerateInputError, FamilyDomainError
 from .margins import PseudoObservations, _average_ranks
 from .signals import BlockPartition, _frozen_array
 
@@ -425,8 +425,15 @@ def _mean_tau(rho: np.ndarray) -> float:
 
 
 def normal_scores_correlation(values) -> np.ndarray:
-    """Correlation matrix of the normal scores ndtri(u), symmetrized."""
-    q = ndtri(np.asarray(values, dtype=float))
+    """Correlation matrix of the normal scores ndtri(u), symmetrized.
+
+    Raises DegenerateInputError for a constant channel, whose correlation
+    with any other channel is undefined.
+    """
+    q = np.atleast_2d(ndtri(np.asarray(values, dtype=float)))
+    constant = np.flatnonzero(q.min(axis=1) == q.max(axis=1))
+    if constant.size:
+        raise DegenerateInputError(f"channel {constant[0]} is constant; its normal-scores correlation is undefined")
     rho = np.atleast_2d(np.corrcoef(q))
     rho = 0.5 * (rho + rho.T)
     np.fill_diagonal(rho, 1.0)
@@ -462,9 +469,10 @@ def _theta_from_tau(family: str, tau):
     return 2.0 * tau / (1.0 - tau) if family == "clayton" else 1.0 / (1.0 - tau)
 
 
-def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
-    """Maximum pseudo-likelihood clayton or gumbel fit, given a Kendall
-    tau estimate for the block (see ``_mean_tau``).
+def _fit_archimedean(values: np.ndarray, family: str, tau: float):
+    """Maximum pseudo-likelihood clayton or gumbel fit to the
+    pseudo-observations ``values`` (d x T), given a Kendall tau estimate
+    for the block (see ``_mean_tau``).
 
     theta0 comes from the tau inversion, and scipy's bounded Brent search
     (to _THETA_TOL) minimizes the negated mean log density on
@@ -480,7 +488,7 @@ def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
     (both families model positive dependence only), and when the optimum
     still lies on an interior edge after the last widening.
     """
-    d = pseudo.n_channels
+    d = values.shape[0]
     if family == "gumbel" and d != 2:
         raise FamilyDomainError(f"gumbel is bivariate only, got dimension {d}")
     if tau <= 0.0:
@@ -488,7 +496,7 @@ def _fit_archimedean(pseudo: PseudoObservations, family: str, tau: float):
     theta0 = _theta_from_tau(family, min(tau, 0.9999))
     cls = _THETA_FAMILIES[family]
     floor = cls._theta_floor
-    terms = cls._log_terms(pseudo.values)
+    terms = cls._log_terms(values)
 
     def loss(th):
         return -float(np.mean(cls(th, d)._log_density_of(terms)))
@@ -544,5 +552,5 @@ def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
         raise FamilyDomainError(
             f"{family} models dependence between channels and needs at least 2, got {pseudo.n_channels}"
         )
-    return _fit_archimedean(pseudo, family, _mean_tau(_spearman(_average_ranks(pseudo.values))))
+    return _fit_archimedean(pseudo.values, family, _mean_tau(_spearman(_average_ranks(pseudo.values))))
 

@@ -80,7 +80,8 @@ _POLISH_FATOL = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    """Outcome of a full two-phase fit; all quantities are in nats."""
+    """Outcome of a full two-phase fit, in nats; ``log_likelihood`` is the mean
+    log density of the sources (histogram margins plus copula), no log|det W| term."""
 
     mutual_information: float
     copula_entropy: float
@@ -185,7 +186,7 @@ def detect_partition(pseudo: PseudoObservations) -> BlockPartition:
     return BlockPartition(tuple(np.flatnonzero(labels == k) for k in range(n_blocks)), pseudo.n_channels)
 
 
-def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
+def _best_orientation(ranks: np.ndarray, menu, orient: bool = True):
     """Resolve the sign indeterminacy of a dependent block and fit it.
 
     Rotation estimation fixes component signs by a convention that is
@@ -195,24 +196,26 @@ def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
     prefer fewer flips, then the earlier pattern, and within a pattern
     the earlier family in the menu.
 
-    Each piece of work is done once per block. The block's ranks give one
-    Spearman rho matrix: a pattern s turns entry (i, j) into s_i s_j rho_ij
-    exactly, as ranks are half-integers, and ``_mean_tau`` maps it to tau.
-    Flipped rows get (T + 1 - r) / (T + 1) from the ranks r: bit for bit
-    the pseudo-observations of the negated components. Product and
-    gaussian scores do not depend on the pattern, so they are fitted and
-    scored once; only clayton and gumbel are fitted per pattern, and a pattern
-    with flips can win only through them. ``orient=False`` scores the
-    pattern without flips only. Every menu needs at least 100 samples.
+    Each piece of work is done once per block, from its average ranks r
+    (d x T): the pseudo-observations are r / (T + 1), a flipped row gets
+    (T + 1 - r) / (T + 1), bit for bit those of the negated component,
+    and one Spearman rho matrix serves every pattern s, which turns entry
+    (i, j) into s_i s_j rho_ij exactly, as ranks are half-integers;
+    ``_mean_tau`` maps it to tau. Product and gaussian scores do not
+    depend on the pattern, so they are fitted and scored once; only
+    clayton and gumbel are fitted per pattern, and a pattern with flips
+    can win only through them. ``orient=False`` scores the pattern
+    without flips only. Every menu needs at least 100 samples.
 
     Returns
     -------
     (pattern, model) : the flips, one bool per channel, and the winning
     family fitted to the block with the flipped rows negated.
     """
-    if pseudo.n_samples < 100:
-        raise ValueError(f"need at least 100 samples to fit a copula, got {pseudo.n_samples}")
-    d = pseudo.n_channels
+    d, t = ranks.shape
+    if t < 100:
+        raise ValueError(f"need at least 100 samples to fit a copula, got {t}")
+    pseudo = PseudoObservations(ranks / (t + 1))
     invariant = []
     asymmetric = []
     for pos, family in enumerate(menu):
@@ -222,9 +225,8 @@ def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
             model = fit_copula(pseudo, family)
             invariant.append((_penalized_score(model, pseudo.values), pos, model))
     patterns = list(_cartesian((False, True), repeat=d)) if asymmetric and orient else [(False,) * d]
-    ranks = _average_ranks(pseudo.values)
     rho = _spearman(ranks)
-    flipped = (pseudo.n_samples + 1 - ranks) / (pseudo.n_samples + 1)
+    flipped = (t + 1 - ranks) / (t + 1)
     best = None
     for idx, pattern in enumerate(patterns):
         sign = np.where(pattern, -1.0, 1.0)
@@ -233,7 +235,7 @@ def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
         candidates = list(invariant)
         for pos, family in asymmetric:
             try:
-                model = _fit_archimedean(PseudoObservations(values), family, tau)
+                model = _fit_archimedean(values, family, tau)
             except FamilyDomainError:
                 continue
             candidates.append((_penalized_score(model, values), pos, model))
@@ -248,11 +250,11 @@ def _best_orientation(pseudo: PseudoObservations, menu, orient: bool = True):
     return best[1], best[2]
 
 
-def _fit_block(pseudo: PseudoObservations, block, menu, orient: bool = True):
-    """Orientation and copula of one block (see ``_best_orientation``);
-    failures name the block."""
+def _fit_block(ranks: np.ndarray, block, menu, orient: bool = True):
+    """Orientation and copula of one block from its ranks (see
+    ``_best_orientation``); failures name the block."""
     try:
-        return _best_orientation(pseudo, menu, orient)
+        return _best_orientation(ranks, menu, orient)
     except CopsepError as err:
         raise BlockFitError(f"block {block}: {err}", block=block) from err
 
@@ -263,12 +265,11 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
 
     Without an explicit partition, the components are grouped by
     ``detect_partition``. The sources are ranked once: detection, the
-    energies and the block fits all use that ranking, and each
-    non-singleton block is ranked once more for the Spearman rho that
-    starts its theta searches. Each such block gets one orientation
-    search that returns the fitted copula with the winning sign pattern
-    (see ``_best_orientation``), so no block is refitted after it is
-    oriented.
+    energies, the Spearman rho that starts each block's theta searches
+    and the block fits all use that ranking. Each non-singleton block
+    gets one orientation search that returns the fitted copula with the
+    winning sign pattern (see ``_best_orientation``), so no block is
+    refitted after it is oriented.
 
     Returns
     -------
@@ -278,7 +279,9 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
     """
     menu = _check_menu(families)
     _check_partition(partition, sources.n_channels)
-    return _fit_dependence(pseudo_observations(sources), menu, partition)
+    if sources.n_samples < 2:
+        raise ValueError("pseudo-observations need at least 2 samples")
+    return _fit_dependence(_average_ranks(sources.values), menu, partition)
 
 
 def _check_partition(partition: BlockPartition | None, n_channels: int):
@@ -286,12 +289,12 @@ def _check_partition(partition: BlockPartition | None, n_channels: int):
         raise ValueError(f"partition covers {partition.n_channels} channels, data has {n_channels}")
 
 
-def _fit_dependence(pseudo: PseudoObservations, menu, partition: BlockPartition | None):
-    """``fit_dependence`` on the sources' pseudo-observations, with a
+def _fit_dependence(ranks: np.ndarray, menu, partition: BlockPartition | None):
+    """``fit_dependence`` on the sources' average ranks (n x T), with a
     checked menu and partition."""
-    n = pseudo.n_channels
+    n, t = ranks.shape
     if partition is None:
-        partition = detect_partition(pseudo)
+        partition = detect_partition(PseudoObservations(ranks / (t + 1)))
 
     flips = np.zeros(n, dtype=bool)
     models = []
@@ -299,7 +302,7 @@ def _fit_dependence(pseudo: PseudoObservations, menu, partition: BlockPartition 
         if len(block) == 1:
             models.append(ProductCopula(1))
             continue
-        pattern, model = _fit_block(pseudo.restrict(block), block, menu)
+        pattern, model = _fit_block(ranks[list(block)], block, menu)
         flips[list(block)] = pattern
         models.append(model)
     return partition, FactorialCopula(partition, tuple(models)), flips
@@ -323,8 +326,8 @@ def average_log_likelihood(
     model: Copula,
     margins: MarginalModel,
 ) -> float:
-    """Mean per-sample log likelihood of observations under the fitted
-    separation, histogram margins, and copula model."""
+    """Mean per-sample log density of the sources ``separation`` recovers
+    from x (histogram margins plus copula), with no log|det W| term."""
     if margins.n_channels != x.n_channels or model.dim != x.n_channels:
         raise ValueError("margins, copula, and data disagree on the channel count")
     sources = separation.separate(x)
@@ -494,41 +497,44 @@ def _refine_pair(y: np.ndarray, families):
     return out
 
 
-def _refine_blocks(sources: SignalMatrix, partition: BlockPartition, copula: FactorialCopula, flips, menu):
-    """Within-block transform (n x n) and copula of the components
-    ``sources`` of the rotation phase, given their dependence fit: the
-    transform starts as diag(+-1) of the flips, and the returned copula
-    describes the transformed components.
+def _refine_blocks(sources: SignalMatrix, ranks, partition: BlockPartition, copula: FactorialCopula, flips, menu):
+    """Within-block transform (n x n) of the rotation-phase components
+    ``sources``, given their ranks and dependence fit, and the copula and
+    ranks of the transformed components; the transform starts as diag(+-1).
+    ``ranks`` is updated in place and returned: a flipped row takes
+    T + 1 - r, and a refined pair the ranks it was refitted from.
 
     A pair is refined when the best tail-asymmetric family in the menu
     with a fitted transform beats the block's fit in the rotation-phase
     coordinates by the Bayesian information criterion (two extra
-    parameters for the transform). The pair is then refitted on the
-    transformed components with their signs kept (no orientation
-    search); the transform stands only if the refit is a tail-asymmetric
-    family. A search would repeat a choice already made: flipping row i
-    of B moves its angle a_i by pi, inside the angles' range [0, 2 pi),
-    and with the rows swapped back to det B > 0 that flipped transform
-    has the same likelihood under the exchangeable clayton or gumbel
-    copula, so the refinement has scored it. A block fitted best as
-    gaussian or product stays as it is: a linear transform and a
-    gaussian correlation trade off against each other. Blocks of three or
-    more channels are not refined; a warning says so.
+    parameters for the transform). The pair is then refitted from the
+    ranks of the transformed components with their signs kept (no
+    orientation search); the transform stands only if the refit is a
+    tail-asymmetric family. A search would repeat a choice already made:
+    flipping row i of B moves its angle a_i by pi, inside the angles'
+    range [0, 2 pi), and with the rows swapped back to det B > 0 that
+    flipped transform has the same likelihood under the exchangeable
+    clayton or gumbel copula, so the refinement has scored it. A block
+    fitted best as gaussian or product stays as it is: a linear transform
+    and a gaussian correlation trade off against each other. With clayton
+    or gumbel in the menu, blocks of three or more channels are not
+    refined; a warning says so.
     """
     t = sources.n_samples
     sign = np.where(flips, -1.0, 1.0)
     within = np.diag(sign)
+    ranks[flips] = t + 1 - ranks[flips]
     models = list(copula.blocks)
     families = [f for f in menu if f in _THETA_FAMILIES]
     for k, (block, model) in enumerate(zip(partition.blocks, copula.blocks)):
+        if len(block) == 1 or not families:
+            continue
         if len(block) > 2:
             warnings.warn(
                 f"block {block} has {len(block)} channels; only pairs get a within-block "
                 "refinement, so it keeps the rotation-phase coordinates",
                 stacklevel=3,
             )
-            continue
-        if len(block) == 1 or not families:
             continue
         rows = list(block)
         y = sources.values[rows]
@@ -543,11 +549,13 @@ def _refine_blocks(sources: SignalMatrix, partition: BlockPartition, copula: Fac
                 best, refined = value, transform
         if refined is None:
             continue
-        _, refit = _fit_block(pseudo_observations(SignalMatrix(refined @ y)), block, menu, orient=False)
+        pair_ranks = _average_ranks(refined @ y)
+        _, refit = _fit_block(pair_ranks, block, menu, orient=False)
         if refit.family in _THETA_FAMILIES:
             within[np.ix_(rows, rows)] = refined
+            ranks[rows] = pair_ranks
             models[k] = refit
-    return within, FactorialCopula(partition, tuple(models))
+    return within, FactorialCopula(partition, tuple(models)), ranks
 
 
 def cca_fit(
@@ -565,9 +573,10 @@ def cca_fit(
     pair, so each dependent pair then gets a within-block transform by
     maximum likelihood (margins by m-spacing entropy, dependence by the
     copula), and the copulas are refitted on the transformed pair with
-    the partition kept. Deterministic for a fixed seed. Needs at least
-    100 samples; that, the family menu and the partition's channel count
-    are checked before any work.
+    the partition kept. Phase 2, the pair refits and the report share one
+    ranking of the components (see ``_refine_blocks``). Deterministic
+    for a fixed seed. Needs at least 100 samples; that, the family menu
+    and the partition's channel count are checked before any work.
 
     Returns
     -------
@@ -585,25 +594,15 @@ def cca_fit(
 
     t = x.n_samples
     ranks = _average_ranks(components.values)
-    part, copula, flips = _fit_dependence(PseudoObservations(ranks / (t + 1)), menu, partition)
-    within, copula = _refine_blocks(components, part, copula, flips, menu)
+    part, copula, flips = _fit_dependence(ranks, menu, partition)
+    within, copula, ranks = _refine_blocks(components, ranks, part, copula, flips, menu)
     sources = SignalMatrix(within @ components.values)
 
     separation = SeparationModel(mean, whitening, rotation, within)
-    # one ranking of the components serves phase 2 and the report: a row
-    # that the within-block transform leaves alone keeps its ranks, a
-    # negated one takes T + 1 - r (the average ranks of -x, exactly), and
-    # only the rows of refined pairs are ranked again. The information,
-    # the copula entropy and the likelihood share these ranks of the
-    # sources, and the likelihood evaluates the margins at the sources
-    # they were fitted on: separation.separate(x) differs from them in the
-    # last bits, enough to put extremes outside the histograms
-    diagonal = np.diag(within)
-    kept = (np.abs(diagonal) == 1.0) & (np.count_nonzero(within, axis=1) == 1)
-    negated = kept & (diagonal < 0.0)
-    ranks[negated] = t + 1 - ranks[negated]
-    if not kept.all():
-        ranks[~kept] = _average_ranks(sources.values[~kept])
+    # the information, the copula entropy and the likelihood share the
+    # ranks of the sources, and the likelihood evaluates the margins at
+    # the sources they were fitted on: separation.separate(x) differs from
+    # them in the last bits, enough to put extremes outside the histograms
     pseudo = PseudoObservations(ranks / (t + 1))
     info = mutual_information(pseudo)
     entropy = copula_entropy(copula, pseudo)

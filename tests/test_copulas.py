@@ -22,7 +22,7 @@ from copsep import (
     normal_scores_correlation,
 )
 from copsep.copulas import _U_HI, _U_LO, _fit_archimedean, _spearman
-from copsep.exceptions import FamilyDomainError
+from copsep.exceptions import DegenerateInputError, FamilyDomainError
 from copsep.margins import PseudoObservations, _average_ranks
 
 
@@ -447,6 +447,12 @@ class TestFitCopula:
         assert abs(model.correlation[0, 1]) < 0.03
         assert copula_entropy(model, u) >= -0.01
 
+    def test_gaussian_rejects_a_constant_channel(self):
+        values = ClaytonCopula(2.0, 3).sample(1000, seed=4).values.copy()
+        values[2] = 0.5
+        with pytest.raises(DegenerateInputError, match="channel 2 is constant"):
+            fit_copula(PseudoObservations(values), "gaussian")
+
     def test_clayton_rejects_negative_dependence(self):
         u = ClaytonCopula(2.0, 2).sample(1000, seed=4)
         flipped = PseudoObservations(np.vstack([u.values[0], 1.0 - u.values[1]]))
@@ -465,19 +471,19 @@ class TestFitCopula:
         # the first bracket is [0.005, 0.081] at tau = 0.01 and [9.5, 152]
         # at tau = 0.95, both far from theta = 2
         u = ClaytonCopula(2.0, 2).sample(5000, seed=11)
-        model = _fit_archimedean(u, "clayton", tau=tau)
+        model = _fit_archimedean(u.values, "clayton", tau=tau)
         assert model.theta == pytest.approx(fit_copula(u, "clayton").theta, abs=1e-5)
         assert 1.8 <= model.theta <= 2.2
 
     def test_optimum_beyond_every_widening_raises(self):
         u = ClaytonCopula(2.0, 2).sample(2000, seed=12)
         with pytest.raises(FamilyDomainError, match="bracket edge"):
-            _fit_archimedean(u, "clayton", tau=1e-6)
+            _fit_archimedean(u.values, "clayton", tau=1e-6)
 
     def test_gumbel_domain_bound_is_not_widened(self):
         # on negatively dependent data gumbel's optimum is the domain edge theta = 1
         u = GaussianCopula(corr2(-0.3)).sample(5000, seed=13)
-        model = _fit_archimedean(u, "gumbel", tau=0.01)
+        model = _fit_archimedean(u.values, "gumbel", tau=0.01)
         assert 1.0 <= model.theta < 1.0 + 1e-5
 
     @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
@@ -497,7 +503,7 @@ class TestFitCopula:
         u = ClaytonCopula(2.0, 2).sample(5000, seed=11)
         theta_hat = fit_copula(u, "clayton").theta
         theta0 = 4.0 * (theta_hat - 1e-4) if edge == "lo" else (theta_hat + 1e-4) / 4.0
-        model = _fit_archimedean(u, "clayton", tau=theta0 / (theta0 + 2.0))
+        model = _fit_archimedean(u.values, "clayton", tau=theta0 / (theta0 + 2.0))
         assert model.theta == pytest.approx(theta_hat, abs=1e-6)
 
     def test_gumbel_rejects_higher_dimensions(self):

@@ -12,7 +12,7 @@ from copsep import (
     mutual_information,
     normalize_components,
 )
-from copsep.exceptions import DegenerateDependenceError, NonConvergenceError
+from copsep.exceptions import DegenerateDependenceError, DegenerateInputError, NonConvergenceError
 from copsep.ica import _TOL, _check_whitened, _sym_decorrelate
 
 
@@ -206,6 +206,14 @@ class TestMutualInformation:
         x = np.random.default_rng(2).standard_normal((2, 500))
         x[1] = x[0]
         with pytest.raises(DegenerateDependenceError):
+            mutual_information(SignalMatrix(x))
+
+    def test_constant_channel_is_degenerate(self):
+        # the normal-scores correlation of a constant row is undefined;
+        # a NaN there must not be clamped to zero information
+        x = np.random.default_rng(2).standard_normal((3, 500))
+        x[1] = 0.5
+        with pytest.raises(DegenerateInputError, match="channel 1 is constant"):
             mutual_information(SignalMatrix(x))
 
     def test_invariant_under_increasing_transforms(self):

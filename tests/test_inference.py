@@ -35,10 +35,10 @@ from copsep import (
     pseudo_observations,
 )
 from copsep import cli, copulas, inference, margins
-from copsep.exceptions import BlockFitError, FamilyDomainError
+from copsep.exceptions import BlockFitError, DegenerateInputError, FamilyDomainError
 from copsep.copulas import FAMILY_NAMES, _THETA_TOL, _spearman
 from copsep.inference import _best_orientation, _energy_ranks
-from copsep.margins import MarginalModel, PseudoObservations, margin_ppf
+from copsep.margins import MarginalModel, PseudoObservations, _average_ranks, margin_ppf
 
 
 def corr2(r):
@@ -257,7 +257,7 @@ class TestSelectFamily:
 
     @staticmethod
     def select_family(u, menu):
-        return _best_orientation(u, menu, orient=False)[1].family
+        return _best_orientation(_average_ranks(u.values), menu, orient=False)[1].family
 
     def test_clayton_data_selects_clayton(self):
         wins = sum(
@@ -312,6 +312,13 @@ class TestKlDecomposition:
         assert h == 0.0
         assert d == i
         assert d == pytest.approx(-0.5 * np.log(0.51), abs=0.03)
+
+
+    def test_constant_channel_is_degenerate(self):
+        x = np.random.default_rng(1).laplace(size=(3, 500))
+        x[0] = 2.0
+        with pytest.raises(DegenerateInputError, match="channel 0 is constant"):
+            kl_decomposition(SignalMatrix(x), ProductCopula(3))
 
 
 class TestAverageLogLikelihood:
@@ -430,6 +437,14 @@ class TestFitDependence:
             fit_dependence(s, families=("gumbel",), partition=forced)
         assert exc_info.value.block == (0, 1, 2)
 
+    def test_block_holding_a_constant_channel_fails_loudly(self):
+        x = np.random.default_rng(11).laplace(size=(3, 500))
+        x[1] = 0.0
+        forced = BlockPartition(((0, 1), (2,)), 3)
+        with pytest.raises(BlockFitError, match="channel 1 is constant") as exc_info:
+            fit_dependence(SignalMatrix(x), partition=forced)
+        assert exc_info.value.block == (0, 1)
+
     @staticmethod
     def _count_kendall_tau(monkeypatch):
         calls = []
@@ -473,7 +488,7 @@ class TestFitDependence:
         else:
             values = GaussianCopula(corr2(-0.6)).sample(2000, seed=34).values
         pseudo = pseudo_observations(SignalMatrix(values))
-        pattern, model = _best_orientation(pseudo, FAMILY_NAMES)
+        pattern, model = _best_orientation(_average_ranks(pseudo.values), FAMILY_NAMES)
         ref_pattern, ref_model = brute_force_orientation(pseudo, FAMILY_NAMES)
         assert tuple(pattern) == tuple(ref_pattern)
         assert model.family == ref_model.family
@@ -765,6 +780,16 @@ class TestCcaFit:
         assert report.partition.blocks == forced.blocks
         assert np.array_equal(np.abs(separation.within), np.eye(3))
 
+    def test_menu_without_tail_asymmetric_families_refines_nothing_silently(self):
+        rng = np.random.default_rng(24)
+        x = SignalMatrix(rng.laplace(size=(3, 2000)))
+        forced = BlockPartition(((0, 1, 2),), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            separation, report = cca_fit(x, families=("gaussian",), partition=forced, seed=24)
+        assert report.copula.blocks[0].family == "gaussian"
+        assert np.array_equal(np.abs(separation.within), np.eye(3))
+
     def test_refined_pair_reverts_when_refit_is_not_tail_asymmetric(self, monkeypatch):
         # on these rounded independent channels a fitted transform beats
         # the product fit by the BIC, so the pair is refitted; the refit
@@ -903,6 +928,48 @@ class TestRankKernelLeavesOutputsUnchanged:
         native, reference = _with_scipy_ranks(monkeypatch, run)
         assert native == reference
         assert native[0] == ((0, 1, 2), (3, 4), (5,))
+
+
+def _count_average_ranks(monkeypatch):
+    """The shape of every array ranked from here on, at each ranking site."""
+    shapes = []
+    for module in (margins, copulas, inference):
+        original = module._average_ranks
+
+        def counted(values, original=original):
+            shapes.append(values.shape)
+            return original(values)
+
+        monkeypatch.setattr(module, "_average_ranks", counted)
+    return shapes
+
+
+class TestEachCoordinateSystemRankedOnce:
+    """Phase 2, the pair refit and the report share one rank array; only a
+    refined pair is ranked again, once."""
+
+    def test_fit_dependence_ranks_its_sources_once(self, monkeypatch):
+        shapes = _count_average_ranks(monkeypatch)
+        part, _, _ = fit_dependence(block_sources(1, 1500))
+        assert part.blocks == ((0, 1, 2), (3, 4), (5,))
+        assert shapes == [(6, 1500)]
+
+    def test_cca_fit_ranks_components_then_the_refined_pair(self, monkeypatch):
+        s = clayton_laplace_sources(42)
+        a = well_conditioned_mixing(np.random.default_rng(42), 3)
+        shapes = _count_average_ranks(monkeypatch)
+        separation, _ = cca_fit(mix(s, a), seed=42)
+        assert (np.count_nonzero(separation.within, axis=1) == 2).sum() == 2
+        assert shapes == [(3, 10000), (2, 10000)]
+
+    def test_cca_fit_ranks_independent_channels_once(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        s = SignalMatrix(rng.laplace(size=(3, 5000)))
+        x = mix(s, well_conditioned_mixing(rng, 3))
+        shapes = _count_average_ranks(monkeypatch)
+        _, report = cca_fit(x, seed=20)
+        assert report.partition.blocks == ((0,), (1,), (2,))
+        assert shapes == [(3, 5000)]
 
 
 class TestReportSharesOneRanking:
