@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -412,7 +413,10 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser and entry point
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    returns a fresh namespace on each call, so no option carries over."""
     parser = argparse.ArgumentParser(
         prog="copsep",
         description="Blind source separation with copula models of residual dependence.",

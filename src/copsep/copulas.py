@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
@@ -182,36 +181,72 @@ class ClaytonCopula(Copula):
     def family(self) -> str:
         return "clayton"
 
-    def _log_powsum(self, log_u):
-        # log(sum u_i^{-theta} - (d-1)) without overflow for extreme theta
-        a = -self.theta * log_u
+    @staticmethod
+    def _log_powsum(th, log_u):
+        """log(sum u_i^{-theta} - (d - 1)) from log_u (d x ...), without
+        overflow for extreme theta, in place on its own temporaries."""
+        a = -th * log_u
         m = a.max(axis=0)
-        s = np.exp(a - m).sum(axis=0) - (self.dim - 1) * np.exp(-m)
-        return m + np.log(s)
+        a -= m
+        np.exp(a, out=a)
+        s = a.sum(axis=0)
+        constant = np.negative(m, out=a[0])
+        np.exp(constant, out=constant)
+        constant *= log_u.shape[0] - 1
+        s -= constant
+        np.log(s, out=s)
+        s += m
+        return s
 
     def _cdf(self, pts):
-        return np.exp(-self._log_powsum(np.log(pts)) / self.theta)
+        return np.exp(-self._log_powsum(self.theta, np.log(pts)) / self.theta)
+
+    @classmethod
+    def _log_terms(cls, pts):
+        return cls._terms_of_logs(np.log(pts), None)
 
     @staticmethod
-    def _log_terms(pts):
-        """The theta-free terms of the log density: log u and its sum over
-        the channels."""
-        log_u = np.log(pts)
+    def _terms_of_logs(log_u, log_x):
+        """The theta-free terms of the log density: log u (d x ...) and its
+        sum over the channels; ``log_x`` = log(-log u) is not needed."""
         return log_u, log_u.sum(axis=0)
 
-    def _log_density_of(self, terms):
-        """Log density from the terms of :meth:`_log_terms`."""
+    @classmethod
+    def _log_density_at(cls, th, terms):
+        """Log density at theta ``th`` from the terms of
+        :meth:`_terms_of_logs`,
+        sum_{k < d} log(1 + k theta) - (theta + 1) sum log u_i
+        - (1 / theta + d) log(sum u_i^{-theta} - d + 1):
+        th is a float, or a column with one theta per row of the channels'
+        term arrays. It works in place on its own temporaries and leaves
+        ``terms`` unchanged."""
         log_u, log_u_sum = terms
-        th, d = self.theta, self.dim
-        lead = np.log1p(th * np.arange(1, d)).sum()
-        return lead - (th + 1.0) * log_u_sum - (1.0 / th + d) * self._log_powsum(log_u)
+        d = log_u.shape[0]
+        # log prod_{k < d} (1 + k theta), one per theta
+        lead = np.log1p(th * np.arange(1, d)).sum(axis=-1, keepdims=True)
+        out = (th + 1.0) * log_u_sum
+        np.subtract(lead, out, out=out)
+        powsum = cls._log_powsum(th, log_u)
+        powsum *= 1.0 / th + d
+        out -= powsum
+        return out
+
+    def _log_density_of(self, terms):
+        return self._log_density_at(self.theta, terms)
 
     def _log_density(self, pts):
         return self._log_density_of(self._log_terms(pts))
 
     def _sample(self, n, rng):
-        # gamma-frailty construction: u_i = (1 + e_i / v)^{-1/theta}
+        # gamma-frailty construction: u_i = (1 + e_i / v)^{-1/theta}; at
+        # theta of about 100 and above, gamma(1 / theta) draws underflow to 0
         v = rng.gamma(1.0 / self.theta, 1.0, n)
+        underflows = np.count_nonzero(v == 0.0)
+        if underflows:
+            raise FamilyDomainError(
+                f"clayton theta = {self.theta:g} is too large to sample: "
+                f"{underflows} of {n} gamma frailties underflow to 0"
+            )
         e = rng.exponential(1.0, (self.dim, n))
         u = np.exp(-np.log1p(e / v) / self.theta)
         return np.clip(u, _U_LO, _U_HI)
@@ -244,39 +279,63 @@ class GumbelCopula(Copula):
     def family(self) -> str:
         return "gumbel"
 
-    def _log_powsum(self, log_x):
+    @staticmethod
+    def _log_powsum(th, log_x):
         """log((-ln u)^theta + (-ln v)^theta) from log_x = log(-ln u) per
         channel, as m + log1p(exp(-|a - b|)) with a, b = theta * log_x and
-        m = max(a, b): numpy vectorizes each of these calls, while
-        np.logaddexp runs a scalar loop, about 4x slower."""
-        a = self.theta * log_x[0]
-        b = self.theta * log_x[1]
-        return np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
+        m = max(a, b), in place on its own temporaries: numpy vectorizes
+        each of these calls, while np.logaddexp runs a scalar loop, about
+        4x slower."""
+        a = th * log_x[0]
+        b = th * log_x[1]
+        m = np.maximum(a, b)
+        a -= b
+        np.abs(a, out=a)
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        np.log1p(a, out=a)
+        a += m
+        return a
 
     def _cdf(self, pts):
-        return np.exp(-np.exp(self._log_powsum(np.log(-np.log(pts))) / self.theta))
+        return np.exp(-np.exp(self._log_powsum(self.theta, np.log(-np.log(pts))) / self.theta))
+
+    @classmethod
+    def _log_terms(cls, pts):
+        log_u = np.log(pts)
+        return cls._terms_of_logs(log_u, np.log(-log_u))
 
     @staticmethod
-    def _log_terms(pts):
-        """The theta-free terms of the log density: log(-log u) per
+    def _terms_of_logs(log_u, log_x):
+        """The theta-free terms of the log density: log_x = log(-log u) per
         channel, its sum over the channels, and the sum of log u."""
-        log_u = np.log(pts)
-        log_x = np.log(-log_u)
         return log_x, log_x[0] + log_x[1], log_u.sum(axis=0)
 
-    def _log_density_of(self, terms):
-        """Log density from the terms of :meth:`_log_terms`."""
+    @classmethod
+    def _log_density_at(cls, th, terms):
+        """Log density at theta ``th`` from the terms of
+        :meth:`_terms_of_logs`, with x_i = -log u_i and s = sum x_i^theta,
+        -s^(1/theta) + (theta - 1) sum log x_i + (1 / theta - 2) log s
+        + log(s^(1/theta) + theta - 1) - sum log u_i:
+        as for clayton, th is a float or a column of thetas, and ``terms``
+        is left unchanged."""
         log_x, log_x_sum, log_u_sum = terms
-        th = self.theta
-        log_s = self._log_powsum(log_x)
-        s_root = np.exp(log_s / th)
-        return (
-            -s_root
-            + (th - 1.0) * log_x_sum
-            + (1.0 / th - 2.0) * log_s
-            + np.log(s_root + th - 1.0)
-            - log_u_sum
-        )
+        log_s = cls._log_powsum(th, log_x)
+        s_root = log_s / th
+        np.exp(s_root, out=s_root)
+        # (th - 1) log_x_sum - s_root is -s_root + (th - 1) log_x_sum, bit for bit
+        out = (th - 1.0) * log_x_sum
+        out -= s_root
+        log_s *= 1.0 / th - 2.0
+        out += log_s
+        s_root += th
+        s_root -= 1.0
+        out += np.log(s_root, out=s_root)
+        out -= log_u_sum
+        return out
+
+    def _log_density_of(self, terms):
+        return self._log_density_at(self.theta, terms)
 
     def _log_density(self, pts):
         return self._log_density_of(self._log_terms(pts))
@@ -363,6 +422,8 @@ _THETA_FAMILIES = {"clayton": ClaytonCopula, "gumbel": GumbelCopula}
 
 def _bvn_cdf(a: float, b: float, r: float) -> float:
     """Standard bivariate normal cdf P(X <= a, Y <= b) by 1-d quadrature."""
+    from scipy.integrate import quad  # here, its only use: it adds about 27 ms to the import of copsep
+
     s = np.sqrt(1.0 - r * r)
     norm = 1.0 / np.sqrt(2.0 * np.pi)
 

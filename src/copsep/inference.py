@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _cartesian
 
 import numpy as np
@@ -76,6 +77,12 @@ _POLISH_STARTS = 2
 _POLISH_SAMPLES = 5000
 _POLISH_XATOL = 5e-2
 _POLISH_FATOL = 1e-3
+# The grid starts of a family are scored _GRID_BATCH at a time, so that
+# each temporary of a batch holds 16 x 2 000 doubles (256 KiB) and a
+# batch's few temporaries stay in a 2 MiB L2 cache. On the cli-loop input
+# (2-core VM) a grid took about 30 ms in batches of 8 or 16, 50-57 ms in
+# batches of 32, and 70-80 ms as one batch of all its starts.
+_GRID_BATCH = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,6 +353,14 @@ def _unit_rows(angles) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
+@lru_cache(maxsize=8)
+def _rank_lattice(t: int) -> np.ndarray:
+    """The pseudo-observations k / (T + 1), k = 1..T, read-only."""
+    lattice = np.arange(1, t + 1) / (t + 1)
+    lattice.flags.writeable = False
+    return lattice
+
+
 def _spacing_entropy_and_ranks(s: np.ndarray):
     """Per row of s: the m-spacing differential entropy estimate with
     m = round(sqrt(T)), and the pseudo-observations rank / (T + 1), both
@@ -353,13 +368,18 @@ def _spacing_entropy_and_ranks(s: np.ndarray):
     t = s.shape[1]
     m = max(1, int(round(np.sqrt(t))))
     order = np.argsort(s, axis=1)
-    ordered = np.take_along_axis(s, order, axis=1)
-    with np.errstate(divide="ignore"):
-        entropy = np.log((t + 1) / m * (ordered[:, m:] - ordered[:, :-m])).mean(axis=1)
+    ordered = np.empty(s.shape)
     u = np.empty(s.shape)
-    scale = np.arange(1, t + 1) / (t + 1)
-    for row, row_order in zip(u, order):
-        row[row_order] = scale
+    lattice = _rank_lattice(t)
+    for row, row_order, row_ordered, row_u in zip(s, order, ordered, u):
+        # argsort's indices are in range, so "clip" changes nothing and, unlike
+        # the default "raise", lets take write into ``out`` without a buffer
+        row.take(row_order, out=row_ordered, mode="clip")
+        row_u[row_order] = lattice
+    spacing = ordered[:, m:] - ordered[:, :-m]
+    spacing *= (t + 1) / m
+    with np.errstate(divide="ignore"):
+        entropy = np.log(spacing, out=spacing).mean(axis=1)
     return entropy, u
 
 
@@ -423,6 +443,56 @@ def _start_simplex(tau: np.ndarray, family: str, i: int, k: int) -> np.ndarray:
     return simplex
 
 
+def _grid_scores(sub: np.ndarray, families):
+    """Score every start of the angle grid on the subsample ``sub`` (2 x T)
+    for each family (see ``_refine_pair``).
+
+    A start is a direction pair (i step, (i + k) step), 0 < k < pi / step,
+    whose Kendall tau is in (0, 1); its score is log sin(k step) minus the
+    two directions' m-spacing entropies plus the mean log copula density
+    of their ranks, at the theta of the tau inversion. log u and
+    log(-log u) are computed once for all directions and families; the
+    starts are scored _GRID_BATCH at a time, one theta per row, and each
+    row's mean is taken along its contiguous axis, so every score equals,
+    bit for bit, that of the start's own copula evaluated alone.
+
+    Returns
+    -------
+    (tau, first, gap, scores) : the Kendall tau matrix of the directions,
+    the starts' indices i and k in grid order, and one array of the
+    starts' scores per family; a start with a direction of tied values
+    scores -inf.
+    """
+    k_max = _GRID_ANGLES // 2
+    step = 2.0 * np.pi / _GRID_ANGLES
+    # a direction and its opposite give the same entropy and mirrored ranks;
+    # a direction with tied values gets entropy +inf, so it never scores
+    entropy, u = _spacing_entropy_and_ranks(_unit_rows(step * np.arange(k_max)) @ sub)
+    entropy = np.tile(np.where(np.isfinite(entropy), entropy, np.inf), 2)
+    u = np.concatenate([u, 1.0 - u])
+    tau = 2.0 / np.pi * np.arcsin(np.clip(normal_scores_correlation(u), -1.0, 1.0))
+    first, gap = (a.ravel() for a in np.meshgrid(np.arange(_GRID_ANGLES), np.arange(1, k_max), indexing="ij"))
+    second = (first + gap) % _GRID_ANGLES
+    start_tau = tau[first, second]
+    positive = (0.0 < start_tau) & (start_tau < 1.0)
+    first, gap, second, start_tau = first[positive], gap[positive], second[positive], start_tau[positive]
+    base = np.log(np.sin(gap * step)) - entropy[first] - entropy[second]
+    log_u = np.log(u)
+    log_x = np.log(-log_u)
+    scores = []
+    for family in families:
+        cls = _THETA_FAMILIES[family]
+        theta = _theta_from_tau(family, start_tau)[:, None]
+        mean = np.empty(len(first))
+        for lo in range(0, len(first), _GRID_BATCH):
+            batch = slice(lo, lo + _GRID_BATCH)
+            rows = np.stack([first[batch], second[batch]])
+            terms = cls._terms_of_logs(log_u[rows], log_x[rows])
+            mean[batch] = cls._log_density_at(theta[batch], terms).mean(axis=1)
+        scores.append(base + mean)
+    return tau, first, gap, scores
+
+
 def _refine_pair(y: np.ndarray, families):
     """Maximum-likelihood within-block transform of one dependent pair.
 
@@ -437,54 +507,31 @@ def _refine_pair(y: np.ndarray, families):
     A single local search stalls in worse optima on some data, so every
     direction pair of the angle grid is a start, scored on a subsample
     with theta from a Kendall-tau inversion of the normal-scores
-    correlation. The best _POLISH_STARTS starts per family are polished
-    by Nelder-Mead over (a1, a2, log(theta - floor)) on a larger
-    subsample, from a first simplex laid along the likelihood ridge
-    (``_start_simplex``) and stopped at that subsample's resolution
-    (_POLISH_XATOL, _POLISH_FATOL); their optima differ by about that
-    subsample's noise, so the best is chosen on all of y.
+    correlation (``_grid_scores``). The starts are scored in batches of
+    _GRID_BATCH, whose temporaries stay in L2 cache, from log u and
+    log(-log u) computed once for the grid's directions; the scores are
+    bit for bit those of one start at a time. The best _POLISH_STARTS
+    starts per family are polished by Nelder-Mead over
+    (a1, a2, log(theta - floor)) on a larger subsample, from a first
+    simplex laid along the likelihood ridge (``_start_simplex``) and
+    stopped at that subsample's resolution (_POLISH_XATOL,
+    _POLISH_FATOL); their optima differ by about that subsample's
+    noise, so the best is chosen on all of y.
 
     Returns
     -------
     list of (log likelihood, B) : one per family that has a start.
     """
     t = y.shape[1]
-    k_max = _GRID_ANGLES // 2
-    step = 2.0 * np.pi / _GRID_ANGLES
-    sub = y[:, :: max(1, t // _GRID_SAMPLES)]
-    # a direction and its opposite give the same entropy and mirrored ranks;
-    # a direction with tied values gets entropy +inf, so it never scores
-    entropy, u = _spacing_entropy_and_ranks(_unit_rows(step * np.arange(k_max)) @ sub)
-    entropy = np.tile(np.where(np.isfinite(entropy), entropy, np.inf), 2)
-    u = np.concatenate([u, 1.0 - u])
-    tau = 2.0 / np.pi * np.arcsin(np.clip(normal_scores_correlation(u), -1.0, 1.0))
-    # (first angle index, angle gap index) with positive dependence
-    grid = [
-        (i, k)
-        for i in range(_GRID_ANGLES)
-        for k in range(1, k_max)
-        if 0.0 < tau[i, (i + k) % _GRID_ANGLES] < 1.0
-    ]
+    tau, first, gap, scores = _grid_scores(y[:, :: max(1, t // _GRID_SAMPLES)], families)
     polish = y[:, :: max(1, t // _POLISH_SAMPLES)]
     out = []
-    for family in families:
+    for family, score in zip(families, scores):
         cls = _THETA_FAMILIES[family]
-        scored = []
-        for i, k in grid:
-            j = (i + k) % _GRID_ANGLES
-            model = cls(_theta_from_tau(family, tau[i, j]), 2)
-            score = (
-                np.log(np.sin(k * step))
-                - entropy[i]
-                - entropy[j]
-                + float(np.mean(model._log_density(u[[i, j]])))
-            )
-            if np.isfinite(score):
-                scored.append((score, i, k))
-        scored.sort(key=lambda item: -item[0])
+        finite = np.flatnonzero(np.isfinite(score))
         best = None
-        for _, i, k in scored[:_POLISH_STARTS]:
-            simplex = _start_simplex(tau, family, i, k)
+        for start in finite[np.argsort(-score[finite], kind="stable")[:_POLISH_STARTS]]:
+            simplex = _start_simplex(tau, family, int(first[start]), int(gap[start]))
             x = minimize(
                 lambda p: -_polish_log_likelihood(polish, p, cls), simplex[0], method="Nelder-Mead",
                 options={"initial_simplex": simplex, "xatol": _POLISH_XATOL, "fatol": _POLISH_FATOL},

@@ -249,6 +249,16 @@ class TestSynth:
         assert domain in err and "finite" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_clayton_theta_too_large_to_sample_exits_2_without_files(self, tmp_path, capsys):
+        code = run(
+            "synth", "--channels", 2, "--samples", 5000, "--partition", "1,2",
+            "--copula", "clayton", "--theta", 300, "--seed", 1, "--out", tmp_path / "d.csv",
+            "--truth-out", tmp_path / "t.json",
+        )
+        assert code == 2
+        assert "theta = 300 is too large to sample: 449 of 5000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_gumbel_needs_pair_block(self, tmp_path, capsys):
         code = run(
             "synth", "--channels", 3, "--samples", 100, "--partition", "1,2,3",
@@ -648,6 +658,19 @@ class TestEvaluate:
 
 
 class TestEntryPoint:
+    def test_one_parser_and_no_option_carries_over(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        with_header, _ = synth_example(tmp_path / "a", extra=("--header",))
+        without, _ = synth_example(tmp_path / "b")
+        assert with_header.read_bytes().split(b"\n", 1) == [b"c1,c2,c3", without.read_bytes()]
+        sources, report = tmp_path / "sources.csv", tmp_path / "report.json"
+        assert run("separate", without, "--sources-out", sources, "--report-out", report) == 0
+        # synth's --seed 42 and --header stay with synth
+        assert json.loads(report.read_text())["seed"] == 0
+        assert not sources.read_text().startswith("c1")
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "copsep", "--help"], capture_output=True, text=True

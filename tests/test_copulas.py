@@ -263,8 +263,68 @@ class TestGumbelLogSum:
 
     def test_equal_coordinates_add_log_two(self):
         log_x = np.log(-np.log(self.EDGES))
-        model = GumbelCopula(3.0)
-        assert np.array_equal(model._log_powsum(np.vstack([log_x, log_x])), 3.0 * log_x + np.log(2.0))
+        assert np.array_equal(GumbelCopula._log_powsum(3.0, np.vstack([log_x, log_x])), 3.0 * log_x + np.log(2.0))
+
+
+def clayton_log_density_reference(theta, pts):
+    """Reference: the Clayton log density in closed form, each term a
+    fresh array, in the order the in-place kernel keeps."""
+    d = pts.shape[0]
+    log_u = np.log(pts)
+    a = -theta * log_u
+    m = a.max(axis=0)
+    log_powsum = m + np.log(np.exp(a - m).sum(axis=0) - (d - 1) * np.exp(-m))
+    return np.log1p(theta * np.arange(1, d)).sum() - (theta + 1.0) * log_u.sum(axis=0) - (1.0 / theta + d) * log_powsum
+
+
+def gumbel_log_density_reference(theta, pts):
+    """Reference: the Gumbel log density in closed form, as for clayton."""
+    log_u = np.log(pts)
+    log_x = np.log(-log_u)
+    a, b = theta * log_x[0], theta * log_x[1]
+    log_s = np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
+    s_root = np.exp(log_s / theta)
+    return (
+        -s_root
+        + (theta - 1.0) * (log_x[0] + log_x[1])
+        + (1.0 / theta - 2.0) * log_s
+        + np.log(s_root + theta - 1.0)
+        - log_u.sum(axis=0)
+    )
+
+
+class TestInPlaceKernels:
+    CASES = [
+        (cls, d, floor + step)
+        for cls, d, floor in ((ClaytonCopula, 2, 0.0), (ClaytonCopula, 3, 0.0), (GumbelCopula, 2, 1.0))
+        for step in (1e-9, 2.0 - floor, 50.0 - floor)
+    ]
+    REFERENCE = {ClaytonCopula: clayton_log_density_reference, GumbelCopula: gumbel_log_density_reference}
+
+    @staticmethod
+    def points(d):
+        edges = np.array([_U_LO, 1e-10, 0.3, 0.5, 1.0 - 1e-10, _U_HI])
+        grid = np.stack([g.ravel() for g in np.meshgrid(*[edges] * d)])
+        return np.hstack([grid, np.random.default_rng(d).uniform(size=(d, 2000))])
+
+    @pytest.mark.parametrize("cls, d, theta", CASES, ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_bit_identical_to_closed_form_and_terms_untouched(self, cls, d, theta):
+        pts = self.points(d)
+        terms = cls._log_terms(pts)
+        before = [t.copy() for t in terms]
+        assert np.array_equal(cls(theta, d)._log_density_of(terms), self.REFERENCE[cls](theta, pts))
+        assert all(np.array_equal(t, b) for t, b in zip(terms, before))
+
+    @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
+    def test_column_of_thetas_matches_one_theta_at_a_time(self, cls):
+        # the grid search's batches: one theta per row of each channel's terms
+        u = np.random.default_rng(7).uniform(size=(6, 500))
+        log_u = np.log(u)
+        rows = np.array([[0, 1, 2, 5], [3, 4, 0, 1]])
+        theta = cls._theta_floor + np.array([1e-9, 0.5, 2.0, 50.0])
+        batch = cls._log_density_at(theta[:, None], cls._terms_of_logs(log_u[rows], np.log(-log_u)[rows]))
+        for row, (i, j), th in zip(batch, rows.T, theta):
+            assert np.array_equal(row, cls(th, 2)._log_density(u[[i, j]]))
 
 
 class TestModelValidation:
@@ -345,6 +405,22 @@ class TestSampling:
         assert np.isfinite(u).all()
         assert u.min() > 0.0 and u.max() < 1.0
         assert kendall_tau(u[0], u[1]) == pytest.approx(1.0 - 1.0 / theta, abs=0.02)
+
+    def test_clayton_frailty_underflow_fails_before_any_division(self):
+        # at theta = 300, gamma(1 / theta) draws underflow to exactly 0, and
+        # e / v would pile the draws at the clip bound _U_LO
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FamilyDomainError, match="theta = 300 .* 449 of 5000 gamma frailties underflow"):
+                ClaytonCopula(300.0, 2).sample(5000, seed=1)
+
+    @pytest.mark.parametrize("theta, d", [(2.0, 2), (1.0, 3), (50.0, 2)])
+    def test_clayton_draws_are_the_gamma_frailty_stream(self, theta, d):
+        rng = np.random.default_rng(4)
+        v = rng.gamma(1.0 / theta, 1.0, 1000)
+        e = rng.exponential(1.0, (d, 1000))
+        expected = np.clip(np.exp(-np.log1p(e / v) / theta), _U_LO, _U_HI)
+        assert np.array_equal(ClaytonCopula(theta, d).sample(1000, seed=4).values, expected)
 
     def test_gaussian_normal_scores_correlation(self):
         u = GaussianCopula(corr2(0.7)).sample(10000, seed=5)

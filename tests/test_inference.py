@@ -587,8 +587,9 @@ def test_divergence_splits_exactly_across_modules(sizes, family, seed):
 
 
 def put_along_axis_entropy_and_ranks(s):
-    """Reference: m-spacing entropies and pseudo-observations by an
-    integer rank scatter through np.put_along_axis, divided by T + 1."""
+    """Reference: m-spacing entropies from the values sorted by
+    np.take_along_axis, and pseudo-observations by an integer rank scatter
+    through np.put_along_axis, divided by T + 1."""
     t = s.shape[1]
     m = max(1, int(round(np.sqrt(t))))
     order = np.argsort(s, axis=1)
@@ -613,6 +614,15 @@ class TestSpacingEntropyAndRanks:
         if shape[1] == 100:
             assert entropy[-1] == -np.inf
 
+    def test_strided_rows_and_a_shared_read_only_lattice(self):
+        s = np.random.default_rng(3).laplace(size=(4, 3000))[::2, ::3]
+        entropy, u = inference._spacing_entropy_and_ranks(s)
+        expected_entropy, expected_u = put_along_axis_entropy_and_ranks(s)
+        assert np.array_equal(entropy, expected_entropy)
+        assert np.array_equal(u, expected_u)
+        lattice = inference._rank_lattice(1000)
+        assert lattice is inference._rank_lattice(1000) and not lattice.flags.writeable
+
 
 def whitened_pair(cls, t, seed):
     """A cls(2) pair with laplace margins, mixed and whitened: the input
@@ -620,6 +630,61 @@ def whitened_pair(cls, t, seed):
     s = SignalMatrix(margin_ppf("laplace", (0.0, 1.0), cls(2.0, 2).sample(t, seed=seed).values))
     z, _, _ = center_and_whiten(mix(s, well_conditioned_mixing(np.random.default_rng(seed), 2)))
     return z.values
+
+
+def per_start_grid_scores(sub, families):
+    """Reference: the grid starts of ``_refine_pair`` scored one at a time,
+    each by its own copula, as (score, i, k) in grid order per family,
+    with the Kendall tau matrix of the directions."""
+    step = 2.0 * np.pi / 36
+    entropy, u = inference._spacing_entropy_and_ranks(inference._unit_rows(step * np.arange(18)) @ sub)
+    entropy = np.tile(np.where(np.isfinite(entropy), entropy, np.inf), 2)
+    u = np.concatenate([u, 1.0 - u])
+    tau = 2.0 / np.pi * np.arcsin(np.clip(copulas.normal_scores_correlation(u), -1.0, 1.0))
+    grid = [(i, k) for i in range(36) for k in range(1, 18) if 0.0 < tau[i, (i + k) % 36] < 1.0]
+    scored = []
+    for family in families:
+        cls = copulas._THETA_FAMILIES[family]
+        scored.append([])
+        for i, k in grid:
+            j = (i + k) % 36
+            model = cls(copulas._theta_from_tau(family, tau[i, j]), 2)
+            score = np.log(np.sin(k * step)) - entropy[i] - entropy[j] + float(np.mean(model._log_density(u[[i, j]])))
+            scored[-1].append((score, i, k))
+    return tau, scored
+
+
+def tied_pair():
+    # 100 equal values in the grid subsample of the first component: the
+    # direction at angle 0 (and pi) has entropy -inf, so its starts score -inf
+    y = whitened_pair(ClaytonCopula, 4000, seed=5).copy()
+    y[0, :200] = y[0, 0]
+    return y
+
+
+class TestGridScores:
+    @pytest.mark.parametrize(
+        "y",
+        [
+            pytest.param(lambda: whitened_pair(GumbelCopula, 20000, seed=11), id="gumbel-20000"),
+            pytest.param(lambda: whitened_pair(ClaytonCopula, 10000, seed=3), id="clayton-10000"),
+            pytest.param(lambda: whitened_pair(GumbelCopula, 2000, seed=8), id="gumbel-2000"),
+            pytest.param(tied_pair, id="tied"),
+        ],
+    )
+    def test_batches_equal_one_start_at_a_time(self, y):
+        y = y()
+        sub = y[:, :: max(1, y.shape[1] // inference._GRID_SAMPLES)]
+        families = ("clayton", "gumbel")
+        tau, first, gap, scores = inference._grid_scores(sub, families)
+        expected_tau, expected = per_start_grid_scores(sub, families)
+        assert np.array_equal(tau, expected_tau)
+        for score, reference in zip(scores, expected):
+            assert list(zip(first.tolist(), gap.tolist())) == [(i, k) for _, i, k in reference]
+            assert score.tolist() == [value for value, _, _ in reference]
+            assert np.isfinite(score).any()
+            if y.shape[1] == 4000:
+                assert (score[(first == 0) | (first == 18)] == -np.inf).all()
 
 
 class TestPairRefinement:

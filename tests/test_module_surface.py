@@ -29,3 +29,20 @@ def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, copsep; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_integrate_unloaded_until_the_gaussian_cdf():
+    # scipy.integrate adds about 27 ms and 2.7 MiB to the import; only the
+    # 2-d gaussian cdf's quadrature needs it, and imports it when called
+    src = str(Path(copsep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    rho, pts = [[1.0, 0.6], [0.6, 1.0]], [[0.1, 0.5, 0.97], [0.3, 0.5, 0.02]]
+    code = (
+        "import sys, copsep\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        f"cdf = copsep.GaussianCopula({rho}).cdf({pts})\n"
+        "print('scipy.integrate' in sys.modules, *[v.hex() for v in cdf])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    expected = copsep.GaussianCopula(rho).cdf(pts)
+    assert proc.stdout.split() == ["False", "True", *[v.hex() for v in expected]]
