@@ -102,15 +102,141 @@ def write_signal_csv(signals: SignalMatrix, path: str, header: bool = False):
     """Write a SignalMatrix as a samples-by-channels CSV, 17 significant
     digits (lossless round trip), LF line endings, no header by default.
 
-    Each chunk of rows is formatted by one ``%``-format call."""
+    Every cell holds the bytes of Python's ``"%.17g" % value``. Each chunk
+    of rows is formatted by ``_format_rows``: values with 1e-4 <= |x| <
+    1e15, which ``%.17g`` prints in fixed notation, are converted by exact
+    integer arithmetic, so their bytes are those of the correctly rounded
+    conversion; ±0, subnormals, |x| < 1e-4 and |x| >= 1e15 are formatted
+    by ``%``, each by its own ``%.17g``."""
     rows = signals.values.T
-    row_format = ",".join(["%.17g"] * signals.n_channels) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         if header:
-            fh.write(",".join(f"c{i + 1}" for i in range(signals.n_channels)) + "\n")
+            fh.write((",".join(f"c{i + 1}" for i in range(signals.n_channels)) + "\n").encode())
         for lo in range(0, signals.n_samples, _CSV_CHUNK_ROWS):
-            block = rows[lo:lo + _CSV_CHUNK_ROWS]
-            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(rows[lo:lo + _CSV_CHUNK_ROWS]))
+
+
+# 5**k for k = 0..27, all below 2**63: the decimal scales of _format_rows.
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV bytes of a samples-by-channels block: ``"%.17g" % value``
+    cells, ``,`` between them and ``\\n`` after each row.
+
+    Each cell is laid out in one uint8 grid with a row per byte position:
+    the sign, the ``0.000`` of a value below 1, 18 slots for 17 digits and
+    the point, and the separator. A byte the cell does not print is 0, and
+    a boolean mask drops those bytes. A value outside 1e-4 <= |x| < 1e15
+    gets the cell ``%.17g`` instead, which one ``%`` call on the compacted
+    bytes fills in."""
+    rows, n = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e15)
+    a[~fast] = 1.0  # any in-range value; these cells are overwritten below
+    sig, k = _decimal_significands(a)
+    k = k.astype(np.uint8)  # 16 - X: 2..20
+
+    # the 17 digits, most significant first, and the last nonzero one, z
+    digits = np.empty((17, x.size), np.uint8)
+    ten = np.uint64(10)
+    for j in range(16, 0, -1):
+        q = sig // ten
+        sig -= q * ten
+        digits[j] = sig
+        sig = q
+    digits[0] = sig
+    slot = np.arange(18, dtype=np.uint8)[:, None]
+    z = ((digits != 0) * slot[:17]).max(axis=0)
+    digits += np.uint8(ord("0"))
+
+    # X >= 0 prints X + 1 integer digits, then the point at slot X + 1;
+    # X < 0 prints "0." and -X - 1 zeros before the digits, and no point
+    # (slot 17, past the last digit, is never kept)
+    below_one = k > 16
+    int_len = (np.uint8(17) - k) * ~below_one
+    point = int_len + below_one * np.uint8(17)
+    zeros = (k - np.uint8(15)) * below_one  # bytes of "0.000" printed
+
+    # rows: sign, "0.000", 18 slots, separator; uint8 arithmetic wraps, so
+    # ``a += (b - a) * mask`` takes b where mask holds
+    grid = np.empty((25, x.size), np.uint8)
+    np.multiply(x < 0, np.uint8(ord("-")), out=grid[0])
+    np.multiply(np.frombuffer(b"0.000", np.uint8)[:, None], slot[:5] < zeros, out=grid[1:6])
+    slots = grid[6:24]
+    slots[1:] = digits
+    slots[0] = digits[0]
+    slots[:17] += (digits - slots[:17]) * (slot[:17] < point)
+    slots += (np.uint8(ord(".")) - slots) * (slot == point)
+    # keep the integer digits, and the fraction up to its last nonzero digit
+    kept = z + np.uint8(1)
+    kept += z >= point
+    np.maximum(kept, int_len, out=kept)
+    slots *= slot < kept
+    grid[24].reshape(rows, n)[:] = np.frombuffer(b"," * (n - 1) + b"\n", np.uint8)
+
+    # no other cell prints a "%"
+    other = np.flatnonzero(~fast)
+    grid[:24, other] = 0
+    grid[:5, other] = np.frombuffer(b"%.17g", np.uint8)[:, None]
+    cells = grid.T.ravel()
+    return cells[cells != 0].tobytes() % tuple(x[other].tolist())
+
+
+def _decimal_significands(a: np.ndarray):
+    """The correctly rounded 17-digit decimal significands of the doubles
+    ``a``: uint64 arrays N in [10**16, 10**17) and k = 16 - X, with
+    a = N * 10**(X - 16) rounded half to even, as ``%.17g`` rounds.
+    Exact for 1e-10 <= a < 1e15, where k <= 27 and the shift of
+    ``_scaled_floor`` is 1..63.
+
+    X starts at floor(log10 a) and is fixed from the *floor* of a * 10**k,
+    which must lie in [10**16, 10**17); only then is it rounded, and a
+    carry to 10**17 moves X up by one. Fixing X from the rounded value
+    prints 1e-6 as ``1e-06`` instead of ``9.9999999999999995e-07``."""
+    bits = a.view(np.uint64)
+    m = bits & np.uint64((1 << 52) - 1)
+    m |= np.uint64(1 << 52)
+    e = bits >> np.uint64(52)
+    k = (16.0 - np.floor(np.log10(a))).astype(np.uint64)
+    f, low, s = _scaled_floor(m, e, k)
+    below = f < np.uint64(10**16)
+    above = f >= np.uint64(10**17)
+    fix = below | above
+    if fix.any():
+        k += below
+        k -= above
+        f[fix], low[fix], s[fix] = _scaled_floor(m[fix], e[fix], k[fix])
+    half = np.left_shift(np.uint64(1), s - np.uint64(1))
+    up = low > half
+    up |= (low == half) & ((f & np.uint64(1)) == np.uint64(1))
+    f += up
+    carry = f == np.uint64(10**17)
+    f[carry] = np.uint64(10**16)
+    k -= carry
+    return f, k
+
+
+def _scaled_floor(m, e, k):
+    """floor(m * 5**k * 2**(e - 1075 + k)) for doubles m * 2**(e - 1075)
+    (m the 53-bit significand, e the biased exponent), with the bits below
+    the floor and the right shift s = 1075 - e - k (1..63).
+
+    m * 5**k is a 64 x 64 -> 128-bit product on 32-bit limbs: m < 2**53
+    and 5**k < 2**63, so no partial sum overflows."""
+    p = _POW5[k]
+    lo32, w = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_lo, m_hi = m & lo32, m >> w
+    p_lo, p_hi = p & lo32, p >> w
+    mid = m_lo * p_hi
+    mid += m_hi * p_lo  # below 2**63 + 2**53
+    low = m_lo * p_lo
+    low_word = low + (mid << w)  # mod 2**64
+    high_word = m_hi * p_hi + (mid >> w) + (low_word < low)  # carry out of the low word
+    s = np.uint64(1075) - e - k
+    floor = (high_word << (np.uint64(64) - s)) | (low_word >> s)
+    return floor, low_word & ((np.uint64(1) << s) - np.uint64(1)), s
 
 
 def _read_matrix(path: str, n: int) -> np.ndarray:

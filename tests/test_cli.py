@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -193,6 +194,73 @@ class TestCsvChunks:
         path.write_text("c1,c2\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data rows$"):
             read_signal_csv(path)
+
+
+def ulps(value: float, steps: int) -> float:
+    """``value`` moved by ``steps`` doubles (down when negative)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.inf if steps > 0 else 0.0)
+    return value
+
+
+POWERS_OF_TEN = [ulps(float(f"1e{p}"), step) for p in range(-5, 17) for step in range(-2, 3)]
+# 1e-4 and 1e15 bound the range that %.17g prints in fixed notation
+BOUNDS = [1e-4, 1e15] + [math.nextafter(v, t) for v in (1e-4, 1e15) for t in (0.0, math.inf)]
+# 1e14 + n/8 for odd n has 18 significant digits ending in 5: a tie
+TIES = [1e14 + n / 8 for n in range(-41, 42)]
+EDGE_TABLE = POWERS_OF_TEN + BOUNDS + TIES + [1e-6, 1e-7, 0.5, 123.456, 0.1, 0.3]
+FALLBACK = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-5, -9.9999999999999e-5, 1e15, -1e300, 1.7976931348623157e308]
+
+
+class TestFormatRows:
+    """``cli._format_rows`` writes the bytes of ``"%.17g" %`` cell by cell."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(block=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(1, 5)),
+        elements=st.floats(allow_nan=False, allow_infinity=False)
+        | st.floats(1e-4, 1e15, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v])),
+    ))
+    @example(block=np.array([FALLBACK]))  # a row made only of fallback values
+    def test_matches_percent_format(self, block):
+        assert cli._format_rows(block) == per_cell_csv(block.T, header=False)
+
+    @pytest.mark.parametrize("channels", [1, 3, 5])
+    def test_edge_table(self, channels):
+        values = np.array(EDGE_TABLE + FALLBACK)
+        values = np.concatenate([values, -values])
+        block = np.resize(values, (-(-len(values) // channels), channels))
+        assert cli._format_rows(block) == per_cell_csv(block.T, header=False)
+
+    def test_literal_cells(self):
+        block = np.array([[1e-4, 1e14 + 1 / 8, 1e14 + 3 / 8, -0.5, 1e-5, -0.0, 1e15, 0.1]])
+        expected = b"0.0001,100000000000000.12,100000000000000.38,-0.5,1.0000000000000001e-05,-0,1000000000000000,0.10000000000000001\n"
+        assert cli._format_rows(block) == expected
+
+    def test_significands_are_the_rounded_17_digits(self):
+        # 1e-6 and 1e-7 lie below the writer's range but inside the
+        # significands' domain: the exponent comes from the unrounded floor,
+        # so 1e-6 = 9.99999999999999954748e-07 keeps X = -7
+        values = np.array([v for v in EDGE_TABLE if v < 1e15])
+        f, k = cli._decimal_significands(values)
+        expected = [("%.16e" % v).split("e") for v in values.tolist()]
+        expected = [(int(mantissa.replace(".", "")), int(exponent)) for mantissa, exponent in expected]
+        got = list(zip(f.tolist(), (16 - k.astype(np.int64)).tolist()))
+        assert [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e] == []
+
+    def test_file_across_chunks(self, tmp_path):
+        rng = np.random.default_rng(20)
+        for channels in (1, 5):
+            values = rng.laplace(size=(channels, 2 * cli._CSV_CHUNK_ROWS + 7))
+            # fallback values inside the second chunk, and a row of them
+            values[:, 2100:2100 + len(FALLBACK)] = FALLBACK
+            values[0, 3000:3000 + len(BOUNDS)] = BOUNDS
+            for header in (False, True):
+                path = tmp_path / f"x{channels}{header}.csv"
+                write_signal_csv(SignalMatrix(values), path, header=header)
+                assert path.read_bytes() == per_cell_csv(values, header)
+                assert read_signal_csv(path).values.tobytes() == values.tobytes()
 
 
 class TestPartitionFlag:
