@@ -99,6 +99,19 @@ class TestCsvIo:
         path.write_bytes("\ufeffc1,c2\n3,4\n5,6\n".encode("utf-8"))
         assert np.array_equal(read_signal_csv(path).values, [[3.0, 5.0], [4.0, 6.0]])
 
+    @pytest.mark.parametrize("raw, byte, row", [
+        (b"1,2\n3,\xff\n", 0xFF, 2),
+        (b"\xef\xbb\xbfc1,c2\r\n1,2\r\n\xfe,3\r\n", 0xFE, 3),  # after a BOM and a header
+        (b"1,2\n3,4\xe2\x82\n", 0xE2, 2),  # a cut 3-byte sequence
+        (b"\xff", 0xFF, 1),
+    ])
+    def test_non_utf8_byte_names_path_and_row(self, tmp_path, raw, byte, row):
+        path = tmp_path / "x.csv"
+        path.write_bytes(raw)
+        message = f"{path}: not UTF-8 text (byte 0x{byte:02x} at row {row})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_signal_csv(path)
+
 
 def per_cell_csv(values: np.ndarray, header: bool) -> bytes:
     """The CSV bytes of a samples-by-channels file written one cell at a time."""
@@ -263,6 +276,196 @@ class TestFormatRows:
                 assert read_signal_csv(path).values.tobytes() == values.tobytes()
 
 
+def reference_read(path):
+    """The values of a samples-by-channels CSV, or the ValueError, of a reader
+    that works cell by cell: UTF-8 text with a leading BOM dropped, rows of
+    ``str.splitlines``, a header row skipped when any of its fields is not
+    a number to ``float``, then each row checked in file order."""
+    lines = path.read_bytes().decode("utf-8-sig").splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+
+    def number(token):
+        try:
+            return float(token)
+        except ValueError:
+            return None
+
+    start = 1 if any(number(token) is None for token in lines[0].split(",")) else 0
+    if start == len(lines):
+        raise ValueError(f"{path}: no data rows")
+    width = lines[start].count(",") + 1
+    rows = []
+    for row, line in enumerate(lines[start:], start + 1):
+        tokens = line.split(",")
+        if len(tokens) != width:
+            raise ValueError(f"{path}: row {row} has {len(tokens)} fields, expected {width}")
+        values = [number(token) for token in tokens]
+        for col, (token, value) in enumerate(zip(tokens, values), 1):
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
+                raise ValueError(f"{path}: row {row}, column {col}: {kind} value {token!r}")
+        rows.append(values)
+    return np.array(rows).T
+
+
+def outcome(read, path):
+    """The bits of ``read(path)``, or the message of its ValueError."""
+    try:
+        values = read(path)
+    except ValueError as err:
+        return "error", str(err)
+    return "values", np.asarray(getattr(values, "values", values)).tobytes()
+
+
+@st.composite
+def grammar_tokens(draw):
+    """Cells of ``-?d+(.d+)?([eE][+-]?d{1,3})?``: 1-25 digits, leading zeros
+    and a point at any inner position, exponents of 1-3 digits."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(0, len(digits) - 1))
+    mantissa = digits[:point] + "." + digits[point:] if point else digits
+    exponent = draw(st.sampled_from(["", "e", "E"]))
+    if exponent:
+        exponent += draw(st.sampled_from(["", "+", "-"])) + draw(st.text("0123456789", min_size=1, max_size=3))
+    return draw(st.sampled_from(["", "-"])) + mantissa + exponent
+
+
+# writer cells: the 17-digit image of a double
+WRITER_TOKENS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v)
+# cells outside the grammar, or inside it and not finite
+BAD_TOKENS = [
+    "+1", ".5", "5.", "1_0", "\u0661", "\u0663.\u0665", "nan", "-inf", "1e999", "4x", "+-4", "4e", ".",
+    "4.5.6", "1e5.5", "-", "4-", "", " 1", "1 ", "1e+", "1e1234", "--1", "1..2", "e5", "1E-", "0x10",
+]
+# %.17g images whose candidate w * 10**q is two ulps from the double
+TWO_ULPS = ["1.1784768310015671e-07", "7.3786141454839815e-09", "3.7060984608141579e-09", "1.1730716847643999e-07"]
+
+
+def rows_of(width, tokens):
+    return st.lists(st.lists(tokens, min_size=width, max_size=width), min_size=1, max_size=8)
+
+
+def chunk_of(rows) -> bytes:
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+class TestParseRows:
+    """``cli._parse_rows`` gives the doubles of ``float`` on every cell of a
+    chunk, or declines it."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 4).flatmap(lambda w: rows_of(w, grammar_tokens() | WRITER_TOKENS)))
+    @example(rows=[["-0", "0", "-0.000", "0e5", "-00.0E-0"]])
+    @example(rows=[["0.1", "0.3", "1e-10", "1e15", "123456789012345678", "1234567890123456789012345"]])
+    @example(rows=[[token] for token in TWO_ULPS])
+    def test_grammar_cells_read_as_float(self, rows):
+        expected = np.array([[float(cell) for cell in row] for row in rows])
+        block = cli._parse_rows(chunk_of(rows), len(rows[0]))
+        if np.isfinite(expected).all():
+            assert block is not None
+            assert block.tobytes() == expected.tobytes()  # bit-exact, -0.0 included
+        else:
+            assert block is None
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 4).flatmap(lambda w: rows_of(w, grammar_tokens() | st.sampled_from(BAD_TOKENS))),
+        chunk_rows=st.sampled_from([1, 2, 5]),
+    )
+    def test_other_cells_declined_and_read_as_float(self, tmp_path_factory, rows, chunk_rows):
+        # a declined chunk is read cell by cell: the values, or the first error, are the reference's
+        chunk = chunk_of(rows)
+        if any(cell in BAD_TOKENS for row in rows for cell in row):
+            assert cli._parse_rows(chunk, len(rows[0])) is None
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        path.write_bytes(chunk)
+        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+            assert outcome(read_signal_csv, path) == outcome(reference_read, path)
+
+    @pytest.mark.parametrize("chunk, width", [
+        (b"1,2\n3\n", 2), (b"1,2\n3,4,5\n", 2), (b"1,2\n3\n4,5\n", 2), (b"1,2\n,\n", 2), (b"1\n\n2\n", 1),
+    ])
+    def test_ragged_rows_and_blank_lines_declined(self, chunk, width):
+        assert cli._parse_rows(chunk, width) is None
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_writer_edge_values_read_back(self, tmp_path, channels):
+        values = np.array(EDGE_TABLE + FALLBACK + [float(t) for t in TWO_ULPS])
+        values = np.concatenate([values, -values])
+        values = np.resize(values, (channels, -(-len(values) // channels)))
+        path = tmp_path / "x.csv"
+        write_signal_csv(SignalMatrix(values), path)
+        assert read_signal_csv(path).values.tobytes() == values.tobytes()
+        assert cli._parse_rows(path.read_bytes(), channels).tobytes() == values.T.tobytes()
+
+    def test_writer_cells_certified_without_float(self):
+        # each %.17g image with 1e-10 <= |x| < 1e15 is certified within two
+        # ulps; none of them needs the per-cell float
+        rng = np.random.default_rng(22)
+        values = np.concatenate([
+            rng.laplace(size=3000),
+            10 ** rng.uniform(-10, 15, 3000) * rng.choice([-1, 1], 3000),
+            [float(t) for t in TWO_ULPS],
+            [v for v in EDGE_TABLE if 1e-10 <= v < 1e15],
+        ])
+        chunk = "".join("%.17g\n" % v for v in values).encode()
+        with mock.patch("copsep.cli.float", create=True, side_effect=AssertionError("per-cell float")):
+            block = cli._parse_rows(chunk, 1)
+        assert block.ravel().tobytes() == values.tobytes()
+
+
+class TestCsvStructure:
+    """The chunked reader keeps the reference's values and first error over
+    file layouts that cross chunks."""
+
+    @pytest.fixture
+    def values(self):
+        return np.random.default_rng(21).laplace(size=(3, 12))
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 5])
+    @pytest.mark.parametrize("layout", ["crlf", "bom and header", "no final newline"])
+    @pytest.mark.parametrize("bad", [None, "1,oops,3", "1,2", "1,+2,3"])
+    def test_layouts_over_three_chunks(self, tmp_path, values, chunk_rows, layout, bad):
+        rows = [",".join("%.17g" % v for v in row) for row in values.T]
+        if bad:
+            rows[2 * chunk_rows] = bad  # in the third chunk
+        text = "".join(row + "\n" for row in rows)
+        if layout == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif layout == "bom and header":
+            text = "\ufeffc1,c2,c3\n" + text
+        else:
+            text = text[:-1]
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+            assert outcome(read_signal_csv, path) == outcome(reference_read, path)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,oops,3", "row 7, column 2: non-numeric value 'oops'"),
+        ("1,2", "row 7 has 2 fields, expected 3"),
+    ])
+    def test_certified_chunk_then_declined_chunk_with_first_error(self, tmp_path, values, bad, message):
+        rows = [",".join("%.17g" % v for v in row) for row in values.T]
+        rows[6] = bad
+        rows[8] = "1,nan,3"  # a later error in the same chunk
+        path = tmp_path / "x.csv"
+        write_rows(path, rows)
+        certified = []
+        parse_rows = cli._parse_rows
+
+        def spy(chunk, width):
+            block = parse_rows(chunk, width)
+            certified.append(block is not None)
+            return block
+
+        with mock.patch.object(cli, "_parse_rows", spy), mock.patch.object(cli, "_CSV_CHUNK_ROWS", 5):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                read_signal_csv(path)
+        assert certified == [True, False]
+
+
 class TestPartitionFlag:
     def test_grammar(self):
         assert parse_partition("1,2|3", 3).blocks == ((0, 1), (2,))
@@ -396,6 +599,13 @@ class TestSeparate:
         )
         assert code == 2
         assert "2 channels" in capsys.readouterr().err
+
+    def test_non_utf8_input_exits_2_naming_file_and_row(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        code = run("separate", path, "--sources-out", tmp_path / "s.csv", "--report-out", tmp_path / "r.json")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte 0xff at row 2)\n"
 
     def test_removed_tau_threshold_flag_exits_2(self, tmp_path):
         data, _ = synth_example(tmp_path, seed=3)
