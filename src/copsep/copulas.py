@@ -6,12 +6,14 @@ Families: Product (independence), Gaussian (correlation matrix), Clayton
 (independent blocks, one sub-copula per block). Densities are evaluated in
 log space so extreme parameters and near-boundary points stay finite.
 Clayton and Gumbel sample in one pass by Marshall-Olkin frailty: gamma for
-Clayton, positive stable (Kanter's formula) for Gumbel.
+Clayton (drawn in log space where it underflows), positive stable
+(Kanter's formula) for Gumbel.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -111,8 +113,10 @@ class GaussianCopula(Copula):
     """Gaussian copula with correlation matrix ``correlation``.
 
     Density uses normal scores q = ndtri(u):
-    |rho|^{-1/2} exp(-q^T (rho^{-1} - I) q / 2). The cdf is implemented
-    for the bivariate case only, by adaptive quadrature.
+    |rho|^{-1/2} exp(-q^T (rho^{-1} - I) q / 2); scores of points on the
+    rank lattice are read from a per-T table (``_normal_scores``), bit for
+    bit ndtri's. The cdf is implemented for the bivariate case only, by
+    adaptive quadrature.
     """
 
     correlation: np.ndarray
@@ -146,7 +150,7 @@ class GaussianCopula(Copula):
         return np.array([_bvn_cdf(a, b, r) for a, b in scores.T])
 
     def _log_density(self, pts):
-        q = ndtri(pts)
+        q = _normal_scores(pts)
         shift = np.linalg.inv(self.correlation) - np.eye(self.dim)
         quad_form = np.einsum("dm,de,em->m", q, shift, q)
         _, logdet = np.linalg.slogdet(self.correlation)
@@ -238,17 +242,22 @@ class ClaytonCopula(Copula):
         return self._log_density_of(self._log_terms(pts))
 
     def _sample(self, n, rng):
-        # gamma-frailty construction: u_i = (1 + e_i / v)^{-1/theta}; at
-        # theta of about 100 and above, gamma(1 / theta) draws underflow to 0
+        # gamma-frailty construction: u_i = (1 + e_i / v)^{-1/theta}
         v = rng.gamma(1.0 / self.theta, 1.0, n)
-        underflows = np.count_nonzero(v == 0.0)
-        if underflows:
-            raise FamilyDomainError(
-                f"clayton theta = {self.theta:g} is too large to sample: "
-                f"{underflows} of {n} gamma frailties underflow to 0"
-            )
-        e = rng.exponential(1.0, (self.dim, n))
-        u = np.exp(-np.log1p(e / v) / self.theta)
+        if v.all():
+            e = rng.exponential(1.0, (self.dim, n))
+            u = np.exp(-np.log1p(e / v) / self.theta)
+        else:
+            # at theta of about 100 and above gamma(1 / theta) draws underflow
+            # to 0, so this call draws log v instead: v = g w^theta with
+            # g ~ gamma(1 / theta + 1) and w uniform, log w = -Exp(1); then
+            # log1p(e / v) = logaddexp(0, log e - log v)
+            log_v = np.log(rng.gamma(1.0 / self.theta + 1.0, 1.0, n))
+            log_v -= self.theta * rng.exponential(1.0, n)
+            with np.errstate(divide="ignore"):
+                log_ratio = np.log(rng.exponential(1.0, (self.dim, n)))
+            log_ratio -= log_v
+            u = np.exp(-np.logaddexp(0.0, log_ratio) / self.theta)
         return np.clip(u, _U_LO, _U_HI)
 
 
@@ -478,20 +487,68 @@ def _spearman(ranks: np.ndarray) -> np.ndarray:
     return product / np.outer(scale, scale)
 
 
-def _mean_tau(rho: np.ndarray) -> float:
-    """Kendall's tau at the mean off-diagonal Spearman rho of ``rho``, mapped after
-    averaging by the gaussian-copula relation tau = (2/pi) asin(2 sin(pi rho / 6)) (Kruskal 1958)."""
-    mean_rho = float(np.clip(np.mean(rho[np.triu_indices(len(rho), 1)]), -1.0, 1.0))
+def _mean_tau(upper: np.ndarray) -> float:
+    """Kendall's tau at the mean of the Spearman rhos ``upper``, the entries
+    above the diagonal of a rho matrix row by row, mapped after averaging
+    by the gaussian-copula relation tau = (2/pi) asin(2 sin(pi rho / 6)) (Kruskal 1958)."""
+    mean_rho = float(np.clip(np.mean(upper), -1.0, 1.0))
     return 2.0 / math.pi * math.asin(2.0 * math.sin(math.pi * mean_rho / 6.0))
 
 
+@lru_cache(maxsize=4)
+def _normal_score_table(t: int) -> np.ndarray:
+    """ndtri at the half-rank lattice (j / 2) / (T + 1), j = 0..2(T + 1), read-only."""
+    table = ndtri(np.arange(2 * t + 3) / 2 / (t + 1))
+    table.flags.writeable = False
+    return table
+
+
+def _normal_scores(u) -> np.ndarray:
+    """ndtri(u), bit for bit, for any input.
+
+    Pseudo-observations of T samples are average ranks over T + 1, values
+    on the half-rank lattice (j / 2) / (T + 1). For a 2-D u whose first
+    value lies on its lattice, each value takes the index
+    j = rint(2 (T + 1) u) into a cached ndtri table of that lattice
+    (``_normal_score_table``); a value is read from the table only where
+    the lattice value (j / 2) / (T + 1) == u, and every other value goes
+    through ndtri. The work arrays are the result and one index array.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.size == 0:
+        return ndtri(u)
+    t = u.shape[1]
+    top = 2 * t + 2
+    first = u[0, 0]
+    j = np.rint(first * top)
+    if not (0 < j < top and j / 2 / (t + 1) == first):
+        return ndtri(u)
+    table = _normal_score_table(t)
+    scores = np.multiply(u, top)
+    np.rint(scores, out=scores)
+    # fmax and fmin send NaN to 0 and keep every index in the table
+    np.fmax(scores, 0.0, out=scores)
+    np.fmin(scores, top, out=scores)
+    index = scores.astype(np.intp)
+    scores *= 0.5
+    scores /= t + 1
+    off_lattice = scores != u
+    # the indices are in range, so "clip" changes nothing and spares take a buffer
+    table.take(index, out=scores, mode="clip")
+    if off_lattice.any():
+        scores[off_lattice] = ndtri(u[off_lattice])
+    return scores
+
+
 def normal_scores_correlation(values) -> np.ndarray:
-    """Correlation matrix of the normal scores ndtri(u), symmetrized.
+    """Correlation matrix of the normal scores ndtri(u), symmetrized; the
+    scores of pseudo-observations come from a per-T table
+    (``_normal_scores``), bit for bit ndtri's.
 
     Raises DegenerateInputError for a constant channel, whose correlation
     with any other channel is undefined.
     """
-    q = np.atleast_2d(ndtri(np.asarray(values, dtype=float)))
+    q = np.atleast_2d(_normal_scores(values))
     constant = np.flatnonzero(q.min(axis=1) == q.max(axis=1))
     if constant.size:
         raise DegenerateInputError(f"channel {constant[0]} is constant; its normal-scores correlation is undefined")
@@ -533,7 +590,7 @@ def _theta_from_tau(family: str, tau):
 def _fit_archimedean(values: np.ndarray, family: str, tau: float):
     """Maximum pseudo-likelihood clayton or gumbel fit to the
     pseudo-observations ``values`` (d x T), given a Kendall tau estimate
-    for the block (see ``_mean_tau``).
+    for the block (see ``_mean_tau``), and its mean log density.
 
     theta0 comes from the tau inversion, and scipy's bounded Brent search
     (to _THETA_TOL) minimizes the negated mean log density on
@@ -543,7 +600,13 @@ def _fit_archimedean(values: np.ndarray, family: str, tau: float):
     worse than the search's optimum widens that side fourfold, lo first,
     and the search runs again, at most _BRACKET_WIDENINGS times. The
     theta-free log terms are computed once; each step evaluates only the
-    theta-dependent remainder.
+    theta-dependent remainder. The mean log density returned is -fun of
+    the last search, bit for bit np.mean(model.log_density(values)): the
+    same terms, the same theta and the same mean.
+
+    Returns
+    -------
+    (model, mean_log_density) : (ClaytonCopula | GumbelCopula, float)
 
     Raises FamilyDomainError for gumbel beyond two channels, for tau <= 0
     (both families model positive dependence only), and when the optimum
@@ -570,7 +633,7 @@ def _fit_archimedean(values: np.ndarray, family: str, tau: float):
         elif loss(hi) <= fit.fun:
             hi *= 4.0
         else:
-            return cls(fit.x, d)
+            return cls(fit.x, d), -float(fit.fun)
     raise FamilyDomainError(
         f"{family} likelihood still rises at the bracket edge theta = {fit.x:.6g} "
         f"after {_BRACKET_WIDENINGS} widenings"
@@ -613,5 +676,6 @@ def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
         raise FamilyDomainError(
             f"{family} models dependence between channels and needs at least 2, got {pseudo.n_channels}"
         )
-    return _fit_archimedean(pseudo.values, family, _mean_tau(_spearman(_average_ranks(pseudo.values))))
+    rho = _spearman(_average_ranks(pseudo.values))
+    return _fit_archimedean(pseudo.values, family, _mean_tau(rho[np.triu_indices(len(rho), 1)]))[0]
 

@@ -199,20 +199,24 @@ def _best_orientation(ranks: np.ndarray, menu, orient: bool = True):
     Rotation estimation fixes component signs by a convention that is
     blind to the dependence structure, but the tail-asymmetric families
     (clayton, gumbel) are not flip-invariant. Every sign pattern is
-    scored by its best family fit (see ``_penalized_score``); ties
-    prefer fewer flips, then the earlier pattern, and within a pattern
-    the earlier family in the menu.
+    scored by its best family fit, penalized by the Bayesian information
+    criterion (see ``_penalized_score``); ties prefer fewer flips, then
+    the earlier pattern, and within a pattern the earlier family in the
+    menu.
 
     Each piece of work is done once per block, from its average ranks r
     (d x T): the pseudo-observations are r / (T + 1), a flipped row gets
     (T + 1 - r) / (T + 1), bit for bit those of the negated component,
-    and one Spearman rho matrix serves every pattern s, which turns entry
-    (i, j) into s_i s_j rho_ij exactly, as ranks are half-integers;
-    ``_mean_tau`` maps it to tau. Product and gaussian scores do not
-    depend on the pattern, so they are fitted and scored once; only
-    clayton and gumbel are fitted per pattern, and a pattern with flips
-    can win only through them. ``orient=False`` scores the pattern
-    without flips only. Every menu needs at least 100 samples.
+    and the upper triangle of one Spearman rho matrix serves every
+    pattern s, which turns entry (i, j) into s_i s_j rho_ij exactly, as
+    ranks are half-integers; ``_mean_tau`` maps it to tau. Product and
+    gaussian scores do not depend on the pattern, so they are fitted and
+    scored once; only clayton and gumbel are fitted per pattern, each
+    scored by the mean log density its own theta search ends on
+    (``_fit_archimedean``), and a pattern with flips can win only through
+    them. A pattern whose tau is <= 0 gets no clayton or gumbel fit, as
+    both model positive dependence only. ``orient=False`` scores the
+    pattern without flips only. Every menu needs at least 100 samples.
 
     Returns
     -------
@@ -232,20 +236,23 @@ def _best_orientation(ranks: np.ndarray, menu, orient: bool = True):
             model = fit_copula(pseudo, family)
             invariant.append((_penalized_score(model, pseudo.values), pos, model))
     patterns = list(_cartesian((False, True), repeat=d)) if asymmetric and orient else [(False,) * d]
-    rho = _spearman(ranks)
+    row, col = np.triu_indices(d, 1)
+    upper = _spearman(ranks)[row, col]
     flipped = (t + 1 - ranks) / (t + 1)
+    penalty = _bic_penalty(1, t)
     best = None
     for idx, pattern in enumerate(patterns):
         sign = np.where(pattern, -1.0, 1.0)
-        tau = _mean_tau(np.outer(sign, sign) * rho)
-        values = np.where(np.array(pattern)[:, None], flipped, pseudo.values)
+        tau = _mean_tau(sign[row] * sign[col] * upper)
         candidates = list(invariant)
-        for pos, family in asymmetric:
-            try:
-                model = _fit_archimedean(values, family, tau)
-            except FamilyDomainError:
-                continue
-            candidates.append((_penalized_score(model, values), pos, model))
+        if tau > 0.0:
+            values = np.where(np.array(pattern)[:, None], flipped, pseudo.values)
+            for pos, family in asymmetric:
+                try:
+                    model, mean_log_density = _fit_archimedean(values, family, tau)
+                except FamilyDomainError:
+                    continue
+                candidates.append((mean_log_density - penalty, pos, model))
         if not candidates:
             continue
         score, _, model = max(candidates, key=lambda item: (item[0], -item[1]))

@@ -520,15 +520,18 @@ class TestSynth:
         assert domain in err and "finite" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_clayton_theta_too_large_to_sample_exits_2_without_files(self, tmp_path, capsys):
+    def test_clayton_theta_300_samples(self, tmp_path):
+        # at theta = 300 gamma frailties underflow (449 of 5000 at seed 1), so
+        # the sampler draws them in log space
         code = run(
             "synth", "--channels", 2, "--samples", 5000, "--partition", "1,2",
-            "--copula", "clayton", "--theta", 300, "--seed", 1, "--out", tmp_path / "d.csv",
-            "--truth-out", tmp_path / "t.json",
+            "--copula", "clayton", "--theta", 300, "--seed", 1, "--mix", "identity",
+            "--out", tmp_path / "d.csv", "--truth-out", tmp_path / "t.json",
         )
-        assert code == 2
-        assert "theta = 300 is too large to sample: 449 of 5000" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert code == 0
+        x = read_signal_csv(tmp_path / "d.csv").values
+        assert x.shape == (2, 5000) and np.isfinite(x).all()
+        assert json.loads((tmp_path / "t.json").read_text())["copula"]["params"]["blocks"][0]["params"]["theta"] == 300
 
     def test_gumbel_needs_pair_block(self, tmp_path, capsys):
         code = run(

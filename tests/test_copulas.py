@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
-from scipy.special import xlogy
+from scipy.special import ndtri, xlogy
 from scipy.stats import kstest
 
 from copsep import (
@@ -21,7 +21,8 @@ from copsep import (
     kendall_tau,
     normal_scores_correlation,
 )
-from copsep.copulas import _U_HI, _U_LO, _fit_archimedean, _spearman
+from copsep import copulas
+from copsep.copulas import _U_HI, _U_LO, _fit_archimedean, _normal_score_table, _normal_scores, _spearman
 from copsep.exceptions import DegenerateInputError, FamilyDomainError
 from copsep.margins import PseudoObservations, _average_ranks
 
@@ -406,13 +407,17 @@ class TestSampling:
         assert u.min() > 0.0 and u.max() < 1.0
         assert kendall_tau(u[0], u[1]) == pytest.approx(1.0 - 1.0 / theta, abs=0.02)
 
-    def test_clayton_frailty_underflow_fails_before_any_division(self):
-        # at theta = 300, gamma(1 / theta) draws underflow to exactly 0, and
-        # e / v would pile the draws at the clip bound _U_LO
+    @pytest.mark.parametrize("theta", [300.0, 1e4])
+    def test_clayton_samples_where_gamma_frailties_underflow(self, theta):
+        # gamma(1 / theta) draws underflow to exactly 0 here (449 of 5000 at
+        # theta = 300, seed 1), so the sampler draws log v instead
+        assert not np.random.default_rng(1).gamma(1.0 / theta, 1.0, 5000).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FamilyDomainError, match="theta = 300 .* 449 of 5000 gamma frailties underflow"):
-                ClaytonCopula(300.0, 2).sample(5000, seed=1)
+            u = ClaytonCopula(theta, 2).sample(5000, seed=1).values
+        assert np.isfinite(u).all()
+        assert u.min() > 0.0 and u.max() < 1.0
+        assert kendall_tau(u[0], u[1]) == pytest.approx(theta / (theta + 2.0), abs=0.01)
 
     @pytest.mark.parametrize("theta, d", [(2.0, 2), (1.0, 3), (50.0, 2)])
     def test_clayton_draws_are_the_gamma_frailty_stream(self, theta, d):
@@ -547,7 +552,7 @@ class TestFitCopula:
         # the first bracket is [0.005, 0.081] at tau = 0.01 and [9.5, 152]
         # at tau = 0.95, both far from theta = 2
         u = ClaytonCopula(2.0, 2).sample(5000, seed=11)
-        model = _fit_archimedean(u.values, "clayton", tau=tau)
+        model, _ = _fit_archimedean(u.values, "clayton", tau=tau)
         assert model.theta == pytest.approx(fit_copula(u, "clayton").theta, abs=1e-5)
         assert 1.8 <= model.theta <= 2.2
 
@@ -559,7 +564,7 @@ class TestFitCopula:
     def test_gumbel_domain_bound_is_not_widened(self):
         # on negatively dependent data gumbel's optimum is the domain edge theta = 1
         u = GaussianCopula(corr2(-0.3)).sample(5000, seed=13)
-        model = _fit_archimedean(u.values, "gumbel", tau=0.01)
+        model, _ = _fit_archimedean(u.values, "gumbel", tau=0.01)
         assert 1.0 <= model.theta < 1.0 + 1e-5
 
     @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
@@ -572,6 +577,21 @@ class TestFitCopula:
         fit_copula(u, cls(2.0, 2).family)
         assert 0 < len(calls) <= 20
 
+    @pytest.mark.parametrize("family, d, tau", [
+        ("clayton", 2, 0.5),
+        ("clayton", 3, 0.5),
+        ("gumbel", 2, 0.5),
+        ("clayton", 2, 0.01),  # the bracket widens
+        ("gumbel", 2, 0.95),  # the bracket widens
+    ])
+    def test_search_returns_the_mean_log_density_of_its_model(self, family, d, tau):
+        # the score of a fit is the last search's own optimum, bit for bit
+        # what evaluating the fitted model again gives
+        values = (ClaytonCopula(2.0, d) if family == "clayton" else GumbelCopula(2.0)).sample(5000, seed=11).values
+        model, mean_log_density = _fit_archimedean(values, family, tau=tau)
+        assert type(mean_log_density) is float
+        assert mean_log_density.hex() == float(np.mean(model.log_density(values))).hex()
+
     @pytest.mark.parametrize("edge", ["lo", "hi"])
     def test_optimum_just_inside_the_bracket_edge(self, edge):
         # theta0 is chosen so the optimum lies 1e-4 inside the first bracket
@@ -579,7 +599,7 @@ class TestFitCopula:
         u = ClaytonCopula(2.0, 2).sample(5000, seed=11)
         theta_hat = fit_copula(u, "clayton").theta
         theta0 = 4.0 * (theta_hat - 1e-4) if edge == "lo" else (theta_hat + 1e-4) / 4.0
-        model = _fit_archimedean(u.values, "clayton", tau=theta0 / (theta0 + 2.0))
+        model, _ = _fit_archimedean(u.values, "clayton", tau=theta0 / (theta0 + 2.0))
         assert model.theta == pytest.approx(theta_hat, abs=1e-6)
 
     def test_gumbel_rejects_higher_dimensions(self):
@@ -638,3 +658,77 @@ class TestFitCopula:
         assert abs(slope(fit_copula(u, "clayton"), u)) < 1e-4
         ug = GumbelCopula(2.0).sample(2000, seed=seed)
         assert abs(slope(fit_copula(ug, "gumbel"), ug)) < 1e-4
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestNormalScores:
+    """``_normal_scores`` gives ndtri's bits for any input; pseudo-observations
+    read them from a per-T table of the half-rank lattice."""
+
+    @pytest.mark.parametrize("t", [100, 5000, 20000])
+    @pytest.mark.parametrize("ties", [False, True], ids=["tie-free", "tied"])
+    def test_ranks_flips_and_mirrors_equal_ndtri(self, t, ties):
+        x = np.random.default_rng(t).laplace(size=(3, t))
+        ranks = _average_ranks(np.round(x) if ties else x)
+        assert np.any(ranks % 1.0 == 0.5) == ties
+        u = ranks / (t + 1)
+        flipped = (t + 1 - ranks) / (t + 1)
+        mirrored = 1.0 - u  # the pair grid's opposite directions, partly off the lattice
+        for values in (u, flipped, mirrored, u[:, ::-1], u[0]):
+            assert same_bits(_normal_scores(values), ndtri(values))
+
+    def test_points_off_the_lattice_equal_ndtri(self):
+        rng = np.random.default_rng(7)
+        points = rng.uniform(size=(4, 1000))
+        assert same_bits(_normal_scores(points), ndtri(points))
+        # a first value on the lattice sends every other value through the table's check
+        points[0, 0] = 17 / 1001
+        points[1, :8] = [0.0, 1.0, -0.5, 2.0, np.nan, np.inf, -np.inf, 0.5]
+        points[2, :4] = [1 / 1001, 2000.5 / 1001, 2001 / 1001, 3.5 / 1001]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(_normal_scores(points), ndtri(points))
+
+    def test_no_table_for_a_first_value_off_the_lattice(self):
+        _normal_score_table.cache_clear()
+        points = np.random.default_rng(8).uniform(size=(2, 777))
+        _normal_scores(points)
+        assert _normal_score_table.cache_info().currsize == 0
+        ranks = _average_ranks(points)
+        _normal_scores(ranks / 778)
+        assert _normal_score_table.cache_info().currsize == 1
+        assert not _normal_score_table(777).flags.writeable
+
+    def test_cached_table_sends_no_pseudo_observation_to_ndtri(self, monkeypatch):
+        t = 5000
+        u = ClaytonCopula(2.0, 3).sample(t, seed=9)
+        pseudo = np.round(u.values, 3)  # ties give half ranks
+        pseudo = _average_ranks(pseudo) / (t + 1)
+        normal_scores_correlation(pseudo)
+        received = []
+        monkeypatch.setattr(copulas, "ndtri", lambda x: received.append(np.size(x)) or ndtri(x))
+        normal_scores_correlation(pseudo)
+        GaussianCopula(corr2(0.5)).log_density(pseudo[:2])
+        assert received == []
+
+    @pytest.mark.parametrize("point", [[0.5, 0.25], [1e-300, 1.0 - 2.0 ** -53], [0.3, 0.7]])
+    def test_gaussian_log_density_of_one_point(self, monkeypatch, point):
+        model = GaussianCopula(corr2(-0.4))
+        native = model.log_density(point)
+        monkeypatch.setattr(copulas, "_normal_scores", ndtri)
+        assert native.hex() == model.log_density(point).hex()
+
+    def test_gaussian_fit_and_entropy_on_pseudo_observations(self, monkeypatch):
+        u = PseudoObservations(_average_ranks(GaussianCopula(corr2(0.6)).sample(3000, seed=10).values) / 3001)
+
+        def run():
+            model = fit_copula(u, "gaussian")
+            return model.correlation.tobytes(), copula_entropy(model, u).hex()
+
+        native = run()
+        monkeypatch.setattr(copulas, "_normal_scores", ndtri)
+        assert native == run()

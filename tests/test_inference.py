@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 from scipy.stats import rankdata, spearmanr
 
 from copsep import (
@@ -36,7 +37,7 @@ from copsep import (
 )
 from copsep import cli, copulas, inference, margins
 from copsep.exceptions import BlockFitError, DegenerateInputError, FamilyDomainError
-from copsep.copulas import FAMILY_NAMES, _THETA_TOL, _spearman
+from copsep.copulas import FAMILY_NAMES, _THETA_TOL, _mean_tau, _spearman
 from copsep.inference import _best_orientation, _energy_ranks
 from copsep.margins import MarginalModel, PseudoObservations, _average_ranks, margin_ppf
 
@@ -993,6 +994,113 @@ class TestRankKernelLeavesOutputsUnchanged:
         native, reference = _with_scipy_ranks(monkeypatch, run)
         assert native == reference
         assert native[0] == ((0, 1, 2), (3, 4), (5,))
+
+
+def _with_reference_scores(monkeypatch, run):
+    """run() as is, then with plain ndtri in place of the normal-score table
+    and each clayton or gumbel candidate scored by evaluating its fitted
+    model again, as ``_penalized_score`` does."""
+    native = run()
+    search = inference._fit_archimedean
+
+    def rescored(values, family, tau):
+        model, _ = search(values, family, tau)
+        return model, float(np.mean(model.log_density(values)))
+
+    with monkeypatch.context() as m:
+        m.setattr(copulas, "_normal_scores", ndtri)
+        m.setattr(inference, "_fit_archimedean", rescored)
+        reference = run()
+    return native, reference
+
+
+def _fit_blocks_key(s):
+    """The fit-blocks benchmark op on sources s: fit_dependence, then
+    kl_decomposition of the oriented sources."""
+    partition, copula, flips = fit_dependence(s)
+    i, h, d = kl_decomposition(SignalMatrix(s.values * np.where(flips, -1.0, 1.0)[:, None]), copula)
+    return partition.blocks, [_model_key(m) for m in copula.blocks], flips.tobytes(), (i.hex(), h.hex(), d.hex())
+
+
+class TestBlockFitReusesItsWork:
+    """Phase 2 scores each clayton or gumbel candidate by its own theta
+    search's optimum, reads normal scores of pseudo-observations from a
+    per-T table and takes each pattern's tau from one Spearman triangle;
+    every output equals, bit for bit, that of recomputing each of them."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fit_blocks_outputs_unchanged(self, monkeypatch, seed):
+        s = block_sources(seed, 5000)
+        native, reference = _with_reference_scores(monkeypatch, lambda: _fit_blocks_key(s))
+        assert native == reference
+        assert native[0] == ((0, 1, 2), (3, 4), (5,))
+
+    def test_cca_fit_on_rounded_clayton_pair(self, monkeypatch):
+        x = SignalMatrix(np.round(clayton_laplace_sources(42, t=4000).values, 1))
+        native, reference = _with_reference_scores(monkeypatch, lambda: _fit_key(*cca_fit(x, seed=42)))
+        assert native == reference
+        assert sorted(map(len, native[1])) == [1, 2]
+
+    def test_each_search_optimum_is_evaluated_once(self, monkeypatch):
+        # six searches: the pair's two patterns with tau > 0 times two
+        # families, and the triple's two with clayton; evaluating each
+        # optimum again to score it would take six more density evaluations
+        s = block_sources(1, 5000)
+        evaluated = []
+        for cls in (ClaytonCopula, GumbelCopula):
+            evaluate = cls._log_density_of
+            monkeypatch.setattr(
+                cls, "_log_density_of",
+                lambda self, terms, evaluate=evaluate: evaluated.append((self.family, self.theta)) or evaluate(self, terms),
+            )
+        optima = []
+        search = inference._fit_archimedean
+
+        def recorded(values, family, tau):
+            model, mean_log_density = search(values, family, tau)
+            optima.append((model.family, model.theta))
+            return model, mean_log_density
+
+        monkeypatch.setattr(inference, "_fit_archimedean", recorded)
+
+        def run():
+            evaluated.clear()
+            optima.clear()
+            fit_dependence(s)
+            return len(evaluated), [evaluated.count(optimum) for optimum in optima]
+
+        (native, once), (reference, twice) = _with_reference_scores(monkeypatch, run)
+        assert once == [1] * 6
+        assert twice == [2] * 6
+        assert reference - native == 6
+
+    def test_pattern_tau_is_that_of_the_flipped_ranks(self, monkeypatch):
+        # each searched pattern's tau equals, bit for bit, the tau of its own
+        # flipped pseudo-observations; patterns with tau <= 0 are not searched
+        searched = []
+        search = inference._fit_archimedean
+
+        def recorded(values, family, tau):
+            rho = _spearman(_average_ranks(values))
+            searched.append((values.shape[0], tau, _mean_tau(rho[np.triu_indices(len(rho), 1)])))
+            return search(values, family, tau)
+
+        monkeypatch.setattr(inference, "_fit_archimedean", recorded)
+        fit_dependence(block_sources(1, 5000))
+        # two patterns of each block (no flips and all flipped) times both
+        # families; gumbel then declines the triple
+        assert sorted(d for d, _, _ in searched) == [2, 2, 2, 2, 3, 3, 3, 3]
+        for _, tau, expected in searched:
+            assert tau > 0.0
+            assert tau.hex() == expected.hex()
+
+    def test_cached_tables_send_no_pseudo_observation_to_ndtri(self, monkeypatch):
+        s = block_sources(1, 5000)
+        _fit_blocks_key(s)
+        received = []
+        monkeypatch.setattr(copulas, "ndtri", lambda x: received.append(np.size(x)) or ndtri(x))
+        _fit_blocks_key(s)
+        assert received == []
 
 
 def _count_average_ranks(monkeypatch):
