@@ -562,17 +562,21 @@ def copula_entropy(model: Copula, pseudo: PseudoObservations) -> float:
     """Empirical cross-entropy -mean log density of the model on the data.
 
     For factorial models this is computed block by block, so entropy is
-    additive over blocks by construction.
+    additive over blocks by construction: each block's rows of the
+    pseudo-observations go straight to its density kernel, and a product
+    block, whose log density is 0 everywhere, adds exactly 0.0, so it is
+    not evaluated. The sum starts at +0.0, so, like the entropy of a
+    single model, it never reads -0.0.
     """
     if pseudo.n_channels != model.dim:
         raise ValueError(f"model dimension {model.dim} does not match data with {pseudo.n_channels} channels")
-    if isinstance(model, FactorialCopula):
-        total = 0.0
-        for channels, block in zip(model.partition.blocks, model.blocks):
-            total += copula_entropy(block, pseudo.restrict(channels))
-        return total
-    value = -float(np.mean(model._log_density(pseudo.values)))
-    return value + 0.0
+    if not isinstance(model, FactorialCopula):
+        return -float(np.mean(model._log_density(pseudo.values))) + 0.0
+    total = 0.0
+    for channels, block in zip(model.partition.blocks, model.blocks):
+        if not isinstance(block, ProductCopula):
+            total -= float(np.mean(block._log_density(pseudo.values[list(channels)])))
+    return total
 
 
 # Tolerance of the bounded Brent search on theta, and how many times an
@@ -599,10 +603,13 @@ def _fit_archimedean(values: np.ndarray, family: str, tau: float):
     edge that is not the domain bound (gumbel's theta = 1) and scores no
     worse than the search's optimum widens that side fourfold, lo first,
     and the search runs again, at most _BRACKET_WIDENINGS times. The
-    theta-free log terms are computed once; each step evaluates only the
-    theta-dependent remainder. The mean log density returned is -fun of
-    the last search, bit for bit np.mean(model.log_density(values)): the
-    same terms, the same theta and the same mean.
+    theta-free log terms are computed once; each Brent step and edge test
+    passes its theta and those terms to the family's ``_log_density_at``,
+    which evaluates only the theta-dependent remainder, and averages by
+    sum / T, np.mean's own sum and division; no copula is built until the
+    search ends. The mean log density returned is -fun of the last
+    search, bit for bit np.mean(model.log_density(values)): the same
+    terms, the same theta and the same mean.
 
     Returns
     -------
@@ -621,9 +628,11 @@ def _fit_archimedean(values: np.ndarray, family: str, tau: float):
     cls = _THETA_FAMILIES[family]
     floor = cls._theta_floor
     terms = cls._log_terms(values)
+    t = values.shape[1]
 
     def loss(th):
-        return -float(np.mean(cls(th, d)._log_density_of(terms)))
+        # sum / T is np.mean's own sum and division, bit for bit
+        return -float(cls._log_density_at(th, terms).sum()) / t
 
     lo, hi = max(floor, theta0 / 4.0), 4.0 * theta0
     for _ in range(_BRACKET_WIDENINGS + 1):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as _cartesian
 
 import numpy as np
@@ -37,7 +36,7 @@ from .copulas import (
 )
 from .exceptions import BlockFitError, CopsepError, FamilyDomainError
 from .ica import fastica, mutual_information, normalize_components
-from .margins import MarginalModel, PseudoObservations, _average_ranks, pseudo_observations
+from .margins import MarginalModel, PseudoObservations, _average_ranks, _rank_lattice, pseudo_observations
 from .signals import BlockPartition, SeparationModel, SignalMatrix, center_and_whiten
 
 __all__ = [
@@ -149,14 +148,17 @@ def _energy_ranks(u: np.ndarray) -> np.ndarray:
 
     A counting sort ranks them: with c[e] the number of samples of energy
     e, those samples get cumsum(c)[e] - (c[e] - 1) / 2, bit for bit what
-    ``_average_ranks`` gives.
+    ``_average_ranks`` gives. That rank is worked out once per energy, in
+    a table of T + 1 entries, and each row gathers from its table once.
     """
     t = u.shape[1]
     ranks = np.empty_like(u)
-    for i, row in enumerate(u):
+    for row, row_ranks in zip(u, ranks):
         energy = np.abs(np.rint((2.0 * row - 1.0) * (t + 1))).astype(np.intp)
         counts = np.bincount(energy, minlength=t + 1)
-        ranks[i] = np.cumsum(counts)[energy] - (counts[energy] - 1) / 2
+        table = np.cumsum(counts) - (counts - 1) / 2
+        # energies lie in 0..T, so "clip" changes nothing and spares take a buffer
+        table.take(energy, out=row_ranks, mode="clip")
     return ranks
 
 
@@ -182,6 +184,14 @@ def detect_partition(pseudo: PseudoObservations) -> BlockPartition:
     rank correlation, but its components still grow large together. Both
     terms use the pseudo-observations only; the energies are ranked by
     counting, without a sort.
+
+    ``pseudo`` must be ``pseudo_observations(...)`` output, whose values
+    are ranks over T + 1: the plain term is Spearman's rho only when the
+    values are ranks, and the energies are the ranks read back by
+    rounding onto the rank lattice. Raw copula draws (``Copula.sample``)
+    are off that lattice: on ``ProductCopula(3).sample(2000, seed=1)``
+    the plain term differs from Spearman's rho by up to 9e-4 and the
+    energy ranks differ from those of the same data ranked first.
     """
     if pseudo.n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {pseudo.n_samples}")
@@ -360,18 +370,12 @@ def _unit_rows(angles) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-@lru_cache(maxsize=8)
-def _rank_lattice(t: int) -> np.ndarray:
-    """The pseudo-observations k / (T + 1), k = 1..T, read-only."""
-    lattice = np.arange(1, t + 1) / (t + 1)
-    lattice.flags.writeable = False
-    return lattice
-
-
 def _spacing_entropy_and_ranks(s: np.ndarray):
     """Per row of s: the m-spacing differential entropy estimate with
     m = round(sqrt(T)), and the pseudo-observations rank / (T + 1), both
-    from one sort. The entropy is -inf for a row with m + 1 equal values."""
+    from one sort, which scatters the ranks lattice 1..T
+    (``_rank_lattice``) to each row's sorted positions; tied values get
+    distinct ranks. The entropy is -inf for a row with m + 1 equal values."""
     t = s.shape[1]
     m = max(1, int(round(np.sqrt(t))))
     order = np.argsort(s, axis=1)
@@ -383,6 +387,7 @@ def _spacing_entropy_and_ranks(s: np.ndarray):
         # the default "raise", lets take write into ``out`` without a buffer
         row.take(row_order, out=row_ordered, mode="clip")
         row_u[row_order] = lattice
+    u /= t + 1
     spacing = ordered[:, m:] - ordered[:, :-m]
     spacing *= (t + 1) / m
     with np.errstate(divide="ignore"):

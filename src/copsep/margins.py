@@ -4,6 +4,7 @@ and parametric margin samplers for synthesis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -27,7 +28,14 @@ DENSITY_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class PseudoObservations:
-    """Rank-based probability-integral transforms, strictly inside (0,1)."""
+    """Points strictly inside (0,1), one row per channel.
+
+    ``pseudo_observations`` fills it with rank-based probability-integral
+    transforms, rank / (T + 1), which lie on the rank lattice; but
+    ``Copula.sample`` returns one of raw copula draws, which do not. Code
+    that reads ranks back from the values (``detect_partition``) expects
+    ``pseudo_observations`` output: rank a sample first.
+    """
 
     values: np.ndarray
 
@@ -52,11 +60,23 @@ class PseudoObservations:
         return PseudoObservations(self.values[list(channels), :])
 
 
+@lru_cache(maxsize=8)
+def _rank_lattice(t: int) -> np.ndarray:
+    """The ranks 1..T as floats, read-only."""
+    lattice = np.arange(1.0, t + 1)
+    lattice.flags.writeable = False
+    return lattice
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..T within each row of a finite 2-D array, tied values
     getting the mean of their ranks.
 
-    A run of equal values at sorted positions first..last gets
+    One argsort ranks every row; then, row by row, the row is taken in
+    sorted order into one buffer and the cached lattice 1..T
+    (``_rank_lattice``) is scattered to the sorted positions. Only a row
+    with equal neighbours in sorted order averages its ties: a run of
+    equal values at sorted positions first..last gets
     (first + last) / 2 + 1, an exact half-integer whatever order the sort
     leaves the ties in. So numpy's default (unstable) argsort gives the
     same bits as scipy's average ranking, at a fraction of the cost of
@@ -64,18 +84,20 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     """
     n, t = values.shape
     order = np.argsort(values, axis=1)
-    ordered = np.take_along_axis(values, order, axis=1)
-    # run_start[i, k]: sorted position k of row i starts a run; the extra
-    # column closes the last run
-    run_start = np.ones((n, t + 1), dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_start[:, 1:t])
-    sorted_ranks = np.tile(np.arange(1.0, t + 1), (n, 1))
-    for i in np.flatnonzero(~run_start[:, 1:t].all(axis=1)):
-        # run k spans sorted positions bounds[k] .. bounds[k + 1] - 1
-        bounds = np.flatnonzero(run_start[i])
-        sorted_ranks[i] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2, np.diff(bounds))
+    lattice = _rank_lattice(t)
+    ordered = np.empty(t, dtype=values.dtype)
     ranks = np.empty((n, t))
-    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    for row, row_order, row_ranks in zip(values, order, ranks):
+        # argsort's indices are in range, so "clip" changes nothing and, unlike
+        # the default "raise", lets take write into ``out`` without a buffer
+        row.take(row_order, out=ordered, mode="clip")
+        tied = ordered[1:] == ordered[:-1]
+        if tied.any():
+            # run k spans sorted positions bounds[k] .. bounds[k + 1] - 1
+            bounds = np.flatnonzero(np.concatenate(([True], ~tied, [True])))
+            row_ranks[row_order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2, np.diff(bounds))
+        else:
+            row_ranks[row_order] = lattice
     return ranks
 
 

@@ -572,8 +572,8 @@ class TestFitCopula:
         # a bounded Brent search with two edge checks, not a golden section of ~35 steps
         u = cls(2.0, 2).sample(5000, seed=11)
         calls = []
-        evaluate = cls._log_density_of
-        monkeypatch.setattr(cls, "_log_density_of", lambda self, terms: calls.append(1) or evaluate(self, terms))
+        evaluate = cls._log_density_at
+        monkeypatch.setattr(cls, "_log_density_at", classmethod(lambda c, th, terms: calls.append(1) or evaluate(th, terms)))
         fit_copula(u, cls(2.0, 2).family)
         assert 0 < len(calls) <= 20
 

@@ -195,6 +195,23 @@ class TestCalibratedDetection:
         assert np.array_equal(by_rank, by_rank[::-1])
         assert np.array_equal(energy, margins._average_ranks(np.abs(2.0 * ranks - (t + 1))))
 
+    @pytest.mark.parametrize("t", [2, 3, 500, 501])
+    def test_energy_ranks_of_tied_rows_bit_identical(self, t):
+        # rows with ties in the data (and so half-integer ranks), at odd and
+        # even T: the counting sort gives the average ranks of the integer
+        # energies |2r - (T + 1)| exactly
+        rng = np.random.default_rng(t)
+        x = np.vstack([
+            rng.integers(0, 3, t),
+            np.round(rng.laplace(size=t), 1),
+            rng.standard_normal(t),
+            np.full(t, 7.0),
+            np.arange(t) // 2,
+        ])
+        ranks = margins._average_ranks(x)
+        energy = inference._energy_ranks(ranks / (t + 1))
+        assert np.array_equal(energy, margins._average_ranks(np.abs(2.0 * ranks - (t + 1))))
+
     @pytest.mark.parametrize("kind", ["plain", "energy"])
     def test_pair_joins_exactly_above_the_threshold(self, kind):
         # sweep a pair's dependence from none to about twice the threshold
@@ -621,8 +638,8 @@ class TestSpacingEntropyAndRanks:
         expected_entropy, expected_u = put_along_axis_entropy_and_ranks(s)
         assert np.array_equal(entropy, expected_entropy)
         assert np.array_equal(u, expected_u)
-        lattice = inference._rank_lattice(1000)
-        assert lattice is inference._rank_lattice(1000) and not lattice.flags.writeable
+        lattice = margins._rank_lattice(1000)
+        assert lattice is margins._rank_lattice(1000) and not lattice.flags.writeable
 
 
 def whitened_pair(cls, t, seed):
@@ -1047,11 +1064,14 @@ class TestBlockFitReusesItsWork:
         # optimum again to score it would take six more density evaluations
         s = block_sources(1, 5000)
         evaluated = []
-        for cls in (ClaytonCopula, GumbelCopula):
-            evaluate = cls._log_density_of
+        for cls, family in ((ClaytonCopula, "clayton"), (GumbelCopula, "gumbel")):
+            evaluate = cls._log_density_at
             monkeypatch.setattr(
-                cls, "_log_density_of",
-                lambda self, terms, evaluate=evaluate: evaluated.append((self.family, self.theta)) or evaluate(self, terms),
+                cls, "_log_density_at",
+                classmethod(
+                    lambda c, th, terms, family=family, evaluate=evaluate:
+                    evaluated.append((family, th)) or evaluate(th, terms)
+                ),
             )
         optima = []
         search = inference._fit_archimedean

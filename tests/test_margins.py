@@ -92,6 +92,13 @@ class TestAverageRanks:
         # the sort leaves the ties in
         assert_same_ranks_as_scipy(values)
 
+    def test_strided_and_integer_rows(self):
+        # rows taken with a stride, and integer values, which the kernel
+        # sorts into a buffer of their own dtype
+        x = np.random.default_rng(5).integers(0, 50, size=(6, 900))
+        assert_same_ranks_as_scipy(x[::2, ::3])
+        assert_same_ranks_as_scipy(x[::2, ::3].astype(float))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_bit_identical_on_pseudo_observation_energies(self, seed):
         # u and 1 - u share an energy |u - 1/2|, so every row is full of ties
