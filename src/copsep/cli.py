@@ -47,10 +47,22 @@ def _parse_cell(token: str):
         return None
 
 
-def _raise_first_bad_row(path: str, lines, first: int, width: int):
-    """Raise the error of the first bad row among ``lines``, which start at
-    line ``first`` (0-based) of the file: a field count other than
-    ``width``, or a non-numeric or non-finite cell."""
+def _parse_lines(path: str, lines, first: int, width: int) -> np.ndarray:
+    """The rows ``lines``, which start at line ``first`` (0-based) of the
+    file, as a (rows, width) block: the chunk that ``_parse_rows``
+    declines, and the only place that raises the reader's errors.
+
+    Every cell is read by ``float`` in one pass. When that pass fails (a
+    field count other than ``width``, or a non-numeric or non-finite
+    cell), the rows are scanned in order and the first bad one raises."""
+    if set(map(str.count, lines, repeat(","))) == {width - 1}:
+        try:
+            block = np.fromiter(map(float, ",".join(lines).split(",")), float, len(lines) * width)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(block).all():
+                return block.reshape(len(lines), width)
     for lineno, line in enumerate(lines, first):
         tokens = line.split(",")
         if len(tokens) != width:
@@ -62,21 +74,6 @@ def _raise_first_bad_row(path: str, lines, first: int, width: int):
             if value is None or not math.isfinite(value):
                 kind = "non-numeric" if value is None else "non-finite"
                 raise ValueError(f"{path}: row {lineno + 1}, column {col + 1}: {kind} value {token!r}")
-
-
-def _parse_lines(path: str, lines, first: int, width: int) -> np.ndarray:
-    """The rows ``lines``, which start at line ``first`` (0-based) of the
-    file, as a (rows, width) block, parsed cell by cell by ``float``; the
-    only place that raises the reader's errors."""
-    block = None
-    if set(map(str.count, lines, repeat(","))) == {width - 1}:
-        try:
-            block = np.fromiter(map(float, ",".join(lines).split(",")), float, len(lines) * width)
-        except ValueError:
-            pass
-    if block is None or not np.isfinite(block).all():
-        _raise_first_bad_row(path, lines, first, width)
-    return block.reshape(len(lines), width)
 
 
 # ASCII bytes other than "\n" at which str.splitlines ends a line
@@ -93,38 +90,35 @@ def read_signal_csv(path: str) -> SignalMatrix:
     naming the offending row and column (1-based, counting the header);
     so is a byte that is not UTF-8 text.
 
-    Rows are parsed a chunk at a time, and every value is the double that
-    ``float`` gives for its cell. In an ASCII file with LF line ends each
-    chunk goes first to ``_parse_rows``, which reads cells of the grammar
+    Lines are those of ``str.splitlines``. A file that is not ASCII text
+    with LF line ends is decoded once and rewritten as its lines, each
+    ending in ``"\\n"``, so every file is read from LF bytes. Rows are
+    parsed a chunk at a time, and every value is the double that
+    ``float`` gives for its cell. Each chunk goes first to
+    ``_parse_rows``, which reads cells of the grammar
     ``-?d+(.d+)?([eE][+-]?d{1,3})?`` and declines a chunk with any other
-    cell, a ragged row or a blank line. A chunk it declines, and every
-    chunk of any other file, is parsed cell by cell by ``float``; a chunk
-    that fails is scanned again row by row, so the error is the first one
-    in file order.
+    cell, a ragged row or a blank line; a chunk it declines goes to
+    ``_parse_lines``, so the error is the first one in file order.
     """
     with open(path, "rb") as fh:
         raw = fh.read().removeprefix(codecs.BOM_UTF8)
-    lf = raw.isascii() and not any(c in raw for c in _OTHER_LINE_BREAKS)
-    if lf:
-        if raw and not raw.endswith(b"\n"):
-            raw += b"\n"
-        # line i is raw[bounds[i]:bounds[i + 1] - 1]
-        bounds = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10) + 1
-        bounds = [0, *bounds.tolist()]
-        n_lines = len(bounds) - 1
-
-        def rows(lo: int, hi: int):
-            return raw[bounds[lo]:bounds[hi]].decode().split("\n")[:-1]
-    else:
+    if not raw.isascii() or any(c in raw for c in _OTHER_LINE_BREAKS):
         try:
-            lines = raw.decode().splitlines()
+            text = raw.decode()
         except UnicodeDecodeError as err:
             row = len((raw[:err.start].decode() + "x").splitlines())
             raise ValueError(f"{path}: not UTF-8 text (byte 0x{raw[err.start]:02x} at row {row})") from None
-        n_lines = len(lines)
+        raw = "\n".join([*text.splitlines(), ""]).encode()  # each line ends in "\n"
+    elif raw and not raw.endswith(b"\n"):
+        raw += b"\n"
+    # line i is raw[bounds[i]:bounds[i + 1] - 1]
+    bounds = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10) + 1
+    bounds = [0, *bounds.tolist()]
+    n_lines = len(bounds) - 1
 
-        def rows(lo: int, hi: int):
-            return lines[lo:hi]
+    def rows(lo: int, hi: int):
+        return raw[bounds[lo]:bounds[hi]].decode().split("\n")[:-1]
+
     if not n_lines:
         raise ValueError(f"{path}: empty file")
     start = 1 if any(_parse_cell(tok) is None for tok in rows(0, 1)[0].split(",")) else 0
@@ -134,7 +128,7 @@ def read_signal_csv(path: str) -> SignalMatrix:
     data = np.empty((n_lines - start, width))
     for lo in range(start, n_lines, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, n_lines)
-        block = _parse_rows(raw[bounds[lo]:bounds[hi]], width) if lf else None
+        block = _parse_rows(raw[bounds[lo]:bounds[hi]], width)
         if block is None:
             block = _parse_lines(path, rows(lo, hi), lo, width)
         data[lo - start:hi - start] = block

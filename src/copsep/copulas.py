@@ -235,11 +235,8 @@ class ClaytonCopula(Copula):
         out -= powsum
         return out
 
-    def _log_density_of(self, terms):
-        return self._log_density_at(self.theta, terms)
-
     def _log_density(self, pts):
-        return self._log_density_of(self._log_terms(pts))
+        return self._log_density_at(self.theta, self._log_terms(pts))
 
     def _sample(self, n, rng):
         # gamma-frailty construction: u_i = (1 + e_i / v)^{-1/theta}
@@ -343,11 +340,8 @@ class GumbelCopula(Copula):
         out -= log_u_sum
         return out
 
-    def _log_density_of(self, terms):
-        return self._log_density_at(self.theta, terms)
-
     def _log_density(self, pts):
-        return self._log_density_of(self._log_terms(pts))
+        return self._log_density_at(self.theta, self._log_terms(pts))
 
     def _sample(self, n, rng):
         # Marshall-Olkin frailty as for clayton: u_i = exp(-(e_i / v)^a) with v

@@ -1,5 +1,5 @@
 """Marginal-distribution machinery: rank transforms, histogram densities,
-and parametric margin samplers for synthesis.
+and the quantile functions of parametric margins for synthesis.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ __all__ = [
     "PseudoObservations",
     "MarginalModel",
     "pseudo_observations",
-    "sample_margin",
     "margin_ppf",
 ]
 
@@ -257,24 +256,11 @@ def _check_margin(name: str, params):
     return a, b
 
 
-def sample_margin(name: str, params, n_samples: int, seed: int) -> np.ndarray:
-    """Draw i.i.d. samples from a named margin, deterministic per seed.
+def margin_ppf(name: str, params, u) -> np.ndarray:
+    """Quantile function of a named margin applied elementwise to u in (0,1).
 
     Margins: uniform(low, high), gaussian(mean, std), laplace(loc, scale).
     """
-    a, b = _check_margin(name, params)
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    if name == "uniform":
-        return rng.uniform(a, b, n_samples)
-    if name == "gaussian":
-        return rng.normal(a, b, n_samples)
-    return rng.laplace(a, b, n_samples)
-
-
-def margin_ppf(name: str, params, u) -> np.ndarray:
-    """Quantile function of a named margin applied elementwise to u in (0,1)."""
     a, b = _check_margin(name, params)
     u = np.asarray(u, dtype=float)
     if u.size and (u.min() <= 0.0 or u.max() >= 1.0):

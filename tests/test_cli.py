@@ -415,6 +415,16 @@ class TestParseRows:
         assert block.ravel().tobytes() == values.tobytes()
 
 
+# file layouts, from a CSV text whose lines end in "\n"
+LAYOUTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "bom and header": lambda text: "\ufeffc1,c2,c3\n" + text,
+    "non-ascii header": lambda text: "temp\u00e9rature,b,c\n" + text,
+    "no final newline": lambda text: text[:-1],
+}
+
+
 class TestCsvStructure:
     """The chunked reader keeps the reference's values and first error over
     file layouts that cross chunks."""
@@ -423,35 +433,10 @@ class TestCsvStructure:
     def values(self):
         return np.random.default_rng(21).laplace(size=(3, 12))
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 5])
-    @pytest.mark.parametrize("layout", ["crlf", "bom and header", "no final newline"])
-    @pytest.mark.parametrize("bad", [None, "1,oops,3", "1,2", "1,+2,3"])
-    def test_layouts_over_three_chunks(self, tmp_path, values, chunk_rows, layout, bad):
-        rows = [",".join("%.17g" % v for v in row) for row in values.T]
-        if bad:
-            rows[2 * chunk_rows] = bad  # in the third chunk
-        text = "".join(row + "\n" for row in rows)
-        if layout == "crlf":
-            text = text.replace("\n", "\r\n")
-        elif layout == "bom and header":
-            text = "\ufeffc1,c2,c3\n" + text
-        else:
-            text = text[:-1]
-        path = tmp_path / "x.csv"
-        path.write_bytes(text.encode())
-        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
-            assert outcome(read_signal_csv, path) == outcome(reference_read, path)
-
-    @pytest.mark.parametrize("bad, message", [
-        ("1,oops,3", "row 7, column 2: non-numeric value 'oops'"),
-        ("1,2", "row 7 has 2 fields, expected 3"),
-    ])
-    def test_certified_chunk_then_declined_chunk_with_first_error(self, tmp_path, values, bad, message):
-        rows = [",".join("%.17g" % v for v in row) for row in values.T]
-        rows[6] = bad
-        rows[8] = "1,nan,3"  # a later error in the same chunk
-        path = tmp_path / "x.csv"
-        write_rows(path, rows)
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        """Whether ``_parse_rows`` certified each chunk of 5 rows it was
+        given, in file order."""
         certified = []
         parse_rows = cli._parse_rows
 
@@ -460,9 +445,44 @@ class TestCsvStructure:
             certified.append(block is not None)
             return block
 
-        with mock.patch.object(cli, "_parse_rows", spy), mock.patch.object(cli, "_CSV_CHUNK_ROWS", 5):
-            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
-                read_signal_csv(path)
+        monkeypatch.setattr(cli, "_parse_rows", spy)
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 5)
+        return certified
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 5])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("bad", [None, "1,oops,3", "1,2", "1,+2,3"])
+    def test_layouts_over_three_chunks(self, tmp_path, values, chunk_rows, layout, bad):
+        rows = [",".join("%.17g" % v for v in row) for row in values.T]
+        if bad:
+            rows[2 * chunk_rows] = bad  # in the third chunk
+        path = tmp_path / "x.csv"
+        path.write_bytes(LAYOUTS[layout]("".join(row + "\n" for row in rows)).encode())
+        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+            assert outcome(read_signal_csv, path) == outcome(reference_read, path)
+
+    @pytest.mark.parametrize("layout", ["crlf", "cr", "non-ascii header"])
+    def test_every_layout_certified_by_the_kernel(self, tmp_path, values, certified, layout):
+        # a file that is not ASCII with LF ends is rewritten with LF ends,
+        # so each of its chunks reaches _parse_rows, as the LF file's do
+        path = tmp_path / "x.csv"
+        write_signal_csv(SignalMatrix(values), path)
+        path.write_bytes(LAYOUTS[layout](path.read_text()).encode())
+        assert read_signal_csv(path).values.tobytes() == values.tobytes()
+        assert certified == [True, True, True]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,oops,3", "row 7, column 2: non-numeric value 'oops'"),
+        ("1,2", "row 7 has 2 fields, expected 3"),
+    ])
+    def test_certified_chunk_then_declined_chunk_with_first_error(self, tmp_path, values, certified, bad, message):
+        rows = [",".join("%.17g" % v for v in row) for row in values.T]
+        rows[6] = bad
+        rows[8] = "1,nan,3"  # a later error in the same chunk
+        path = tmp_path / "x.csv"
+        write_rows(path, rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_signal_csv(path)
         assert certified == [True, False]
 
 

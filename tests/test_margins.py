@@ -11,7 +11,6 @@ from copsep import (
     SignalMatrix,
     margin_ppf,
     pseudo_observations,
-    sample_margin,
 )
 from copsep.margins import _average_ranks, _bin_count
 
@@ -201,35 +200,6 @@ class TestMarginalModel:
             assert np.array_equal(probs, counts / 2000)
 
 
-class TestSampleMargin:
-    def test_uniform_moments(self):
-        x = sample_margin("uniform", (0.0, 1.0), 10000, seed=0)
-        assert abs(x.mean() - 0.5) < 0.02
-
-    def test_gaussian_moments(self):
-        x = sample_margin("gaussian", (0.0, 1.0), 10000, seed=1)
-        assert abs(x.var() - 1.0) < 0.05
-
-    def test_laplace_moments(self):
-        x = sample_margin("laplace", (0.0, 1.0), 10000, seed=2)
-        assert abs(x.var() - 2.0) < 0.1
-
-    def test_deterministic_per_seed(self):
-        a = sample_margin("laplace", (0.0, 2.0), 100, seed=9)
-        b = sample_margin("laplace", (0.0, 2.0), 100, seed=9)
-        assert np.array_equal(a, b)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown margin"):
-            sample_margin("cauchy", (0.0, 1.0), 10, seed=0)
-
-    def test_bad_scale(self):
-        with pytest.raises(ValueError, match="scale"):
-            sample_margin("gaussian", (0.0, -1.0), 10, seed=0)
-        with pytest.raises(ValueError, match="high > low"):
-            sample_margin("uniform", (1.0, 1.0), 10, seed=0)
-
-
 class TestMarginPpf:
     def laplace_cdf(self, x, loc, scale):
         z = (x - loc) / scale
@@ -249,6 +219,16 @@ class TestMarginPpf:
         x = margin_ppf("gaussian", (1.0, 3.0), np.array([0.5, 0.16, 0.84]))
         assert x[0] == pytest.approx(1.0, abs=1e-9)
         assert x[1] + x[2] == pytest.approx(2.0, abs=1e-9)
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown margin"):
+            margin_ppf("cauchy", (0.0, 1.0), np.array([0.5]))
+
+    def test_bad_scale(self):
+        with pytest.raises(ValueError, match="scale"):
+            margin_ppf("gaussian", (0.0, -1.0), np.array([0.5]))
+        with pytest.raises(ValueError, match="high > low"):
+            margin_ppf("uniform", (1.0, 1.0), np.array([0.5]))
 
     def test_rejects_boundary(self):
         with pytest.raises(ValueError):
