@@ -10,7 +10,7 @@ m-spacing entropies.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as _cartesian
 
 import numpy as np
@@ -274,13 +274,27 @@ def _best_orientation(ranks: np.ndarray, menu, orient: bool = True):
     return best[1], best[2]
 
 
-def _fit_block(ranks: np.ndarray, block, menu, orient: bool = True):
+@dataclass(frozen=True, eq=False)
+class _BlockFit:
+    """One block's phase-2 fit: channels, within-block transform (diag(+-1) until refined),
+    copula, and the ranks (d x T) the copula was fitted on, a flipped row holding T + 1 - r."""
+
+    channels: tuple
+    within: np.ndarray
+    copula: Copula
+    ranks: np.ndarray
+
+
+def _fit_block(ranks: np.ndarray, block, menu, orient: bool = True) -> _BlockFit:
     """Orientation and copula of one block from its ranks (see
     ``_best_orientation``); failures name the block."""
     try:
-        return _best_orientation(ranks, menu, orient)
+        pattern, model = _best_orientation(ranks, menu, orient)
     except CopsepError as err:
         raise BlockFitError(f"block {block}: {err}", block=block) from err
+    flips = np.array(pattern)
+    oriented = np.where(flips[:, None], ranks.shape[1] + 1 - ranks, ranks)
+    return _BlockFit(block, np.diag(np.where(flips, -1.0, 1.0)), model, oriented)
 
 
 def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: BlockPartition | None = None):
@@ -305,7 +319,11 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
     _check_partition(partition, sources.n_channels)
     if sources.n_samples < 2:
         raise ValueError("pseudo-observations need at least 2 samples")
-    return _fit_dependence(_average_ranks(sources.values), menu, partition)
+    partition, fits = _fit_dependence(_average_ranks(sources.values), menu, partition)
+    flips = np.zeros(sources.n_channels, dtype=bool)
+    for fit in fits:
+        flips[list(fit.channels)] = np.diag(fit.within) < 0
+    return partition, FactorialCopula(partition, tuple(fit.copula for fit in fits)), flips
 
 
 def _check_partition(partition: BlockPartition | None, n_channels: int):
@@ -314,22 +332,14 @@ def _check_partition(partition: BlockPartition | None, n_channels: int):
 
 
 def _fit_dependence(ranks: np.ndarray, menu, partition: BlockPartition | None):
-    """``fit_dependence`` on the sources' average ranks (n x T), with a
-    checked menu and partition."""
-    n, t = ranks.shape
+    """``fit_dependence``'s partition and one ``_BlockFit`` per block, from average ranks (n x T)."""
     if partition is None:
-        partition = detect_partition(PseudoObservations(ranks / (t + 1)))
-
-    flips = np.zeros(n, dtype=bool)
-    models = []
-    for block in partition.blocks:
-        if len(block) == 1:
-            models.append(ProductCopula(1))
-            continue
-        pattern, model = _fit_block(ranks[list(block)], block, menu)
-        flips[list(block)] = pattern
-        models.append(model)
-    return partition, FactorialCopula(partition, tuple(models)), flips
+        partition = detect_partition(PseudoObservations(ranks / (ranks.shape[1] + 1)))
+    block_ranks = [(block, ranks[list(block)]) for block in partition.blocks]
+    return partition, tuple(
+        _fit_block(r, block, menu) if len(block) > 1 else _BlockFit(block, np.eye(1), ProductCopula(1), r)
+        for block, r in block_ranks
+    )
 
 
 def kl_decomposition(signals: SignalMatrix, model: Copula):
@@ -556,12 +566,10 @@ def _refine_pair(y: np.ndarray, families):
     return out
 
 
-def _refine_blocks(sources: SignalMatrix, ranks, partition: BlockPartition, copula: FactorialCopula, flips, menu):
-    """Within-block transform (n x n) of the rotation-phase components
-    ``sources``, given their ranks and dependence fit, and the copula and
-    ranks of the transformed components; the transform starts as diag(+-1).
-    ``ranks`` is updated in place and returned: a flipped row takes
-    T + 1 - r, and a refined pair the ranks it was refitted from.
+def _refine_block(components: np.ndarray, fit: _BlockFit, menu) -> _BlockFit:
+    """``fit`` refitted on its channels of the rotation-phase components
+    (n x T) under their maximum-likelihood within-block transform, when
+    that transform stands; otherwise ``fit`` itself.
 
     A pair is refined when the best tail-asymmetric family in the menu
     with a fitted transform beats the block's fit in the rotation-phase
@@ -579,42 +587,31 @@ def _refine_blocks(sources: SignalMatrix, ranks, partition: BlockPartition, copu
     or gumbel in the menu, blocks of three or more channels are not
     refined; a warning says so.
     """
-    t = sources.n_samples
-    sign = np.where(flips, -1.0, 1.0)
-    within = np.diag(sign)
-    ranks[flips] = t + 1 - ranks[flips]
-    models = list(copula.blocks)
+    block, model = fit.channels, fit.copula
     families = [f for f in menu if f in _THETA_FAMILIES]
-    for k, (block, model) in enumerate(zip(partition.blocks, copula.blocks)):
-        if len(block) == 1 or not families:
-            continue
-        if len(block) > 2:
-            warnings.warn(
-                f"block {block} has {len(block)} channels; only pairs get a within-block "
-                "refinement, so it keeps the rotation-phase coordinates",
-                stacklevel=3,
-            )
-            continue
-        rows = list(block)
-        y = sources.values[rows]
-        best = _pair_log_likelihood(y * sign[rows, None], model) - _bic_penalty(_parameter_count(model), t)
-        if not np.isfinite(best):
-            warnings.warn(f"block {block} has tied values; it is not refined", stacklevel=3)
-            continue
-        refined = None
-        for value, transform in _refine_pair(y, families):
-            value -= _bic_penalty(3, t)
-            if value > best:
-                best, refined = value, transform
-        if refined is None:
-            continue
-        pair_ranks = _average_ranks(refined @ y)
-        _, refit = _fit_block(pair_ranks, block, menu, orient=False)
-        if refit.family in _THETA_FAMILIES:
-            within[np.ix_(rows, rows)] = refined
-            ranks[rows] = pair_ranks
-            models[k] = refit
-    return within, FactorialCopula(partition, tuple(models)), ranks
+    if len(block) == 1 or not families:
+        return fit
+    if len(block) > 2:
+        warnings.warn(
+            f"block {block} has {len(block)} channels; only pairs get a within-block "
+            "refinement, so it keeps the rotation-phase coordinates",
+            stacklevel=3,
+        )
+        return fit
+    y, t = components[list(block)], components.shape[1]
+    best = _pair_log_likelihood(y * np.diag(fit.within)[:, None], model) - _bic_penalty(_parameter_count(model), t)
+    if not np.isfinite(best):
+        warnings.warn(f"block {block} has tied values; it is not refined", stacklevel=3)
+        return fit
+    refined = None
+    for value, transform in _refine_pair(y, families):
+        value -= _bic_penalty(3, t)
+        if value > best:
+            best, refined = value, transform
+    if refined is None:
+        return fit
+    refit = _fit_block(_average_ranks(refined @ y), block, menu, orient=False)
+    return replace(refit, within=refined) if refit.copula.family in _THETA_FAMILIES else fit
 
 
 def cca_fit(
@@ -632,8 +629,8 @@ def cca_fit(
     pair, so each dependent pair then gets a within-block transform by
     maximum likelihood (margins by m-spacing entropy, dependence by the
     copula), and the copulas are refitted on the transformed pair with
-    the partition kept. Phase 2, the pair refits and the report share one
-    ranking of the components (see ``_refine_blocks``). Deterministic
+    the partition kept. The report's ranks are those each block's copula
+    was fitted on (see ``_BlockFit``), assembled once. Deterministic
     for a fixed seed. Needs at least 100 samples; that, the family menu
     and the partition's channel count are checked before any work.
 
@@ -651,10 +648,16 @@ def cca_fit(
     components = SignalMatrix(rotation @ z.values)
     del z  # phase 2 and the report need only the components
 
-    t = x.n_samples
-    ranks = _average_ranks(components.values)
-    part, copula, flips = _fit_dependence(ranks, menu, partition)
-    within, copula, ranks = _refine_blocks(components, ranks, part, copula, flips, menu)
+    n, t = x.n_channels, x.n_samples
+    part, fits = _fit_dependence(_average_ranks(components.values), menu, partition)
+    within, ranks, models = np.zeros((n, n)), np.empty((n, t)), []
+    for fit in fits:
+        # not in a comprehension, a frame of its own before Python 3.12: see stacklevel=3
+        fit = _refine_block(components.values, fit, menu)
+        within[np.ix_(fit.channels, fit.channels)] = fit.within
+        ranks[list(fit.channels)] = fit.ranks
+        models.append(fit.copula)
+    copula = FactorialCopula(part, tuple(models))
     sources = SignalMatrix(within @ components.values)
 
     separation = SeparationModel(mean, whitening, rotation, within)

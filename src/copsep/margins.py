@@ -54,10 +54,6 @@ class PseudoObservations:
     def n_samples(self) -> int:
         return self.values.shape[1]
 
-    def restrict(self, channels) -> "PseudoObservations":
-        """Pseudo-observations of a subset of channels."""
-        return PseudoObservations(self.values[list(channels), :])
-
 
 @lru_cache(maxsize=8)
 def _rank_lattice(t: int) -> np.ndarray:

@@ -478,7 +478,7 @@ class TestFactorialStructure:
         u = model.sample(1000, seed=14)
         total = copula_entropy(model, u)
         parts = sum(
-            copula_entropy(block, u.restrict(channels))
+            copula_entropy(block, PseudoObservations(u.values[list(channels)]))
             for channels, block in zip(model.partition.blocks, model.blocks)
         )
         assert total == parts

@@ -917,6 +917,41 @@ class TestCcaFit:
         assert model.family == refit.family == cls(2.0).family
         assert model.theta == refit.theta
 
+    @pytest.mark.parametrize(
+        "x, blocks, match",
+        [
+            (SignalMatrix(np.random.default_rng(24).laplace(size=(3, 2000))), ((0, 1, 2),), "only pairs"),
+            (SignalMatrix(np.round(np.random.default_rng(0).laplace(size=(3, 3000)))), ((0, 1), (2,)), "tied values"),
+        ],
+        ids=["triple", "tied pair"],
+    )
+    def test_refinement_warnings_name_the_callers_line(self, x, blocks, match):
+        with pytest.warns(UserWarning, match=match) as record:
+            cca_fit(x, partition=BlockPartition(blocks, 3), seed=0)
+        assert [w.filename for w in record] == [__file__]
+
+    @pytest.mark.parametrize(
+        "families, blocks, family",
+        # a forced triple is no pair, and with gaussian alone no family refines a pair
+        [(FAMILY_NAMES, ((0, 1, 2),), "clayton"), (("gaussian",), ((0, 1), (2,)), "gaussian")],
+        ids=["clayton triple", "gaussian pair"],
+    )
+    def test_unrefined_blocks_keep_the_fits_of_fit_dependence(self, families, blocks, family):
+        partition = BlockPartition(blocks, 3)
+        models = tuple(ClaytonCopula(2.0, len(b)) if len(b) > 1 else ProductCopula(1) for b in blocks)
+        u = FactorialCopula(partition, models).sample(3000, seed=1)
+        x = mix(SignalMatrix(margin_ppf("laplace", (0.0, 1.0), u.values)), well_conditioned_mixing(np.random.default_rng(1), 3))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "block .* only pairs", UserWarning)
+            separation, report = cca_fit(x, families=families, partition=partition, seed=1)
+        components = SignalMatrix(separation.rotation @ center_and_whiten(x)[0].values)
+        part, copula, flips = fit_dependence(components, families=families, partition=partition)
+        assert part.blocks == report.partition.blocks == blocks
+        assert [_model_key(m) for m in report.copula.blocks] == [_model_key(m) for m in copula.blocks]
+        assert report.copula.blocks[0].family == family
+        assert np.array_equal(np.abs(separation.within), np.eye(3))
+        assert np.array_equal(np.diag(separation.within) < 0, flips)
+
     @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
     def test_polish_scores_theta_overflow_as_minus_inf(self, cls):
         # theta = floor + exp(b): Nelder-Mead may step b past exp's range
