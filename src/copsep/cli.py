@@ -539,6 +539,15 @@ def _dump_json(obj, path: str):
         fh.write(text + "\n")
 
 
+def _load_json(path: str):
+    # a file that is not UTF-8 or not JSON is invalid input naming the file
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -694,10 +703,8 @@ def _fields_of(path: str):
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.estimate, "r", encoding="utf-8") as fh:
-        estimate = json.load(fh)
-    with open(args.truth, "r", encoding="utf-8") as fh:
-        truth = json.load(fh)
+    estimate = _load_json(args.estimate)
+    truth = _load_json(args.truth)
     data = read_signal_csv(args.data)
 
     with _fields_of(args.truth):

@@ -135,12 +135,6 @@ def _bic_penalty(n_params: int, n_samples: int) -> float:
     return n_params * np.log(n_samples) / (2.0 * n_samples)
 
 
-def _penalized_score(model: Copula, values: np.ndarray) -> float:
-    """Mean log density minus k log T / (2 T) for k parameters."""
-    mean_ld = float(np.mean(model.log_density(values)))
-    return mean_ld - _bic_penalty(_parameter_count(model), values.shape[1])
-
-
 def _energy_ranks(u: np.ndarray) -> np.ndarray:
     """Average ranks within each row of the energies of the
     pseudo-observations u = r / (T + 1): the integers e = |2r - (T + 1)|
@@ -203,77 +197,6 @@ def detect_partition(pseudo: PseudoObservations) -> BlockPartition:
     return BlockPartition(tuple(np.flatnonzero(labels == k) for k in range(n_blocks)), pseudo.n_channels)
 
 
-def _best_orientation(ranks: np.ndarray, menu, orient: bool = True):
-    """Resolve the sign indeterminacy of a dependent block and fit it.
-
-    Rotation estimation fixes component signs by a convention that is
-    blind to the dependence structure, but the tail-asymmetric families
-    (clayton, gumbel) are not flip-invariant. Every sign pattern is
-    scored by its best family fit, penalized by the Bayesian information
-    criterion (see ``_penalized_score``); ties prefer fewer flips, then
-    the earlier pattern, and within a pattern the earlier family in the
-    menu.
-
-    Each piece of work is done once per block, from its average ranks r
-    (d x T): the pseudo-observations are r / (T + 1), a flipped row gets
-    (T + 1 - r) / (T + 1), bit for bit those of the negated component,
-    and the upper triangle of one Spearman rho matrix serves every
-    pattern s, which turns entry (i, j) into s_i s_j rho_ij exactly, as
-    ranks are half-integers; ``_mean_tau`` maps it to tau. Product and
-    gaussian scores do not depend on the pattern, so they are fitted and
-    scored once; only clayton and gumbel are fitted per pattern, each
-    scored by the mean log density its own theta search ends on
-    (``_fit_archimedean``), and a pattern with flips can win only through
-    them. A pattern whose tau is <= 0 gets no clayton or gumbel fit, as
-    both model positive dependence only. ``orient=False`` scores the
-    pattern without flips only. Every menu needs at least 100 samples.
-
-    Returns
-    -------
-    (pattern, model) : the flips, one bool per channel, and the winning
-    family fitted to the block with the flipped rows negated.
-    """
-    d, t = ranks.shape
-    if t < 100:
-        raise ValueError(f"need at least 100 samples to fit a copula, got {t}")
-    pseudo = PseudoObservations(ranks / (t + 1))
-    invariant = []
-    asymmetric = []
-    for pos, family in enumerate(menu):
-        if family in _THETA_FAMILIES:
-            asymmetric.append((pos, family))
-        else:
-            model = fit_copula(pseudo, family)
-            invariant.append((_penalized_score(model, pseudo.values), pos, model))
-    patterns = list(_cartesian((False, True), repeat=d)) if asymmetric and orient else [(False,) * d]
-    row, col = np.triu_indices(d, 1)
-    upper = _spearman(ranks)[row, col]
-    flipped = (t + 1 - ranks) / (t + 1)
-    penalty = _bic_penalty(1, t)
-    best = None
-    for idx, pattern in enumerate(patterns):
-        sign = np.where(pattern, -1.0, 1.0)
-        tau = _mean_tau(sign[row] * sign[col] * upper)
-        candidates = list(invariant)
-        if tau > 0.0:
-            values = np.where(np.array(pattern)[:, None], flipped, pseudo.values)
-            for pos, family in asymmetric:
-                try:
-                    model, mean_log_density = _fit_archimedean(values, family, tau)
-                except FamilyDomainError:
-                    continue
-                candidates.append((mean_log_density - penalty, pos, model))
-        if not candidates:
-            continue
-        score, _, model = max(candidates, key=lambda item: (item[0], -item[1]))
-        key = (score, -sum(pattern), -idx)
-        if best is None or key > best[0]:
-            best = (key, pattern, model)
-    if best is None:
-        raise FamilyDomainError(f"no family in {menu} is applicable to this block")
-    return best[1], best[2]
-
-
 @dataclass(frozen=True, eq=False)
 class _BlockFit:
     """One block's phase-2 fit: channels, within-block transform (diag(+-1) until refined),
@@ -286,15 +209,71 @@ class _BlockFit:
 
 
 def _fit_block(ranks: np.ndarray, block, menu, orient: bool = True) -> _BlockFit:
-    """Orientation and copula of one block from its ranks (see
-    ``_best_orientation``); failures name the block."""
+    """Orient one block and fit its copula, from its average ranks r
+    (d x T); failures name the block.
+
+    Rotation estimation fixes component signs by a convention blind to
+    the dependence structure, but clayton and gumbel are not
+    flip-invariant. So every sign pattern and family is a candidate,
+    scored by its mean log density minus the Bayesian information
+    criterion k log T / (2 T) for k parameters, and one ``max`` keyed
+    (score, -flips, -pattern index, -menu position) picks the winner,
+    whose own oriented ranks and signs the record holds.
+
+    A pattern turns a flipped row into T + 1 - r; over T + 1 these are,
+    bit for bit, the pseudo-observations of the negated component. One
+    Spearman rho matrix gives every pattern s its tau (``_mean_tau``), as
+    s turns entry (i, j) into s_i s_j rho_ij exactly: ranks are
+    half-integers. Product and gaussian do not depend on the pattern, so
+    they are fitted and scored once, under the pattern without flips;
+    clayton and gumbel are fitted for each pattern whose tau is > 0 (both
+    model positive dependence only), each scored by the mean log density
+    its own theta search ends on (``_fit_archimedean``). ``orient=False``
+    scores the pattern without flips only. Every menu needs at least 100
+    samples.
+    """
+    d, t = ranks.shape
+    if t < 100:
+        raise ValueError(f"need at least 100 samples to fit a copula, got {t}")
+    asymmetric = [(pos, family) for pos, family in enumerate(menu) if family in _THETA_FAMILIES]
+    patterns = _cartesian((False, True), repeat=d) if asymmetric and orient else [(False,) * d]
+    row, col = np.triu_indices(d, 1)
+    upper = _spearman(ranks)[row, col]
+    mirrored = t + 1 - ranks
+    penalty = _bic_penalty(1, t)
+
+    def candidates():
+        # (key, model, signs, oriented ranks), generated so that max holds
+        # the arrays of the best candidate so far, not of every pattern
+        for idx, pattern in enumerate(patterns):
+            sign = np.where(pattern, -1.0, 1.0)
+            oriented = np.where(np.array(pattern)[:, None], mirrored, ranks)
+            values = oriented / (t + 1)
+            if idx == 0:
+                pseudo = PseudoObservations(values)
+                for pos, family in enumerate(menu):
+                    if family not in _THETA_FAMILIES:
+                        model = fit_copula(pseudo, family)
+                        score = float(np.mean(model.log_density(pseudo.values)))
+                        score -= _bic_penalty(_parameter_count(model), t)
+                        yield (score, 0, 0, -pos), model, sign, oriented
+            tau = _mean_tau(sign[row] * sign[col] * upper)
+            if tau > 0.0:
+                for pos, family in asymmetric:
+                    try:
+                        model, mean_log_density = _fit_archimedean(values, family, tau)
+                    except FamilyDomainError:
+                        continue
+                    yield (mean_log_density - penalty, -sum(pattern), -idx, -pos), model, sign, oriented
+
     try:
-        pattern, model = _best_orientation(ranks, menu, orient)
+        best = max(candidates(), key=lambda candidate: candidate[0], default=None)
+        if best is None:
+            raise FamilyDomainError(f"no family in {menu} is applicable to this block")
     except CopsepError as err:
         raise BlockFitError(f"block {block}: {err}", block=block) from err
-    flips = np.array(pattern)
-    oriented = np.where(flips[:, None], ranks.shape[1] + 1 - ranks, ranks)
-    return _BlockFit(block, np.diag(np.where(flips, -1.0, 1.0)), model, oriented)
+    _, model, sign, oriented = best
+    return _BlockFit(block, np.diag(sign), model, oriented)
 
 
 def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: BlockPartition | None = None):
@@ -305,9 +284,9 @@ def fit_dependence(sources: SignalMatrix, families=FAMILY_NAMES, partition: Bloc
     ``detect_partition``. The sources are ranked once: detection, the
     energies, the Spearman rho that starts each block's theta searches
     and the block fits all use that ranking. Each non-singleton block
-    gets one orientation search that returns the fitted copula with the
-    winning sign pattern (see ``_best_orientation``), so no block is
-    refitted after it is oriented.
+    gets one orientation search, which fits its copula with the winning
+    sign pattern (see ``_fit_block``), so no block is refitted after it
+    is oriented.
 
     Returns
     -------

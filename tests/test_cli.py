@@ -950,6 +950,24 @@ class TestEvaluate:
         assert f"error: {paths[document]}: " in err and message in err
         assert not metrics_path.exists()
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"channels": 3'], ids=["not-utf8", "truncated"])
+    @pytest.mark.parametrize("document", ["estimate", "truth"])
+    def test_unparsable_json_names_its_file(self, tmp_path, capsys, document, content):
+        # either file may be the broken one, so the error says which
+        data, truth_path = synth_example(tmp_path)
+        estimate_path = tmp_path / "est.json"
+        estimate_path.write_text(json.dumps({"demixing": np.eye(3).tolist()}))
+        paths = {"estimate": estimate_path, "truth": truth_path}
+        paths[document].write_bytes(content)
+        metrics_path = tmp_path / "m.json"
+        code = run(
+            "evaluate", "--estimate", estimate_path, "--truth", truth_path,
+            "--data", data, "--out", metrics_path,
+        )
+        assert code == 2
+        assert f"error: {paths[document]}: " in capsys.readouterr().err
+        assert not metrics_path.exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         code = run(
             "evaluate", "--estimate", tmp_path / "nope.json", "--truth", tmp_path / "nope.json",

@@ -38,7 +38,7 @@ from copsep import (
 from copsep import cli, copulas, inference, margins
 from copsep.exceptions import BlockFitError, DegenerateInputError, FamilyDomainError
 from copsep.copulas import FAMILY_NAMES, _THETA_TOL, _mean_tau, _spearman
-from copsep.inference import _best_orientation, _energy_ranks
+from copsep.inference import _energy_ranks, _fit_block
 from copsep.margins import MarginalModel, PseudoObservations, _average_ranks, margin_ppf
 
 
@@ -275,7 +275,7 @@ class TestSelectFamily:
 
     @staticmethod
     def select_family(u, menu):
-        return _best_orientation(_average_ranks(u.values), menu, orient=False)[1].family
+        return _fit_block(_average_ranks(u.values), tuple(range(u.n_channels)), menu, orient=False).copula.family
 
     def test_clayton_data_selects_clayton(self):
         wins = sum(
@@ -506,9 +506,17 @@ class TestFitDependence:
         else:
             values = GaussianCopula(corr2(-0.6)).sample(2000, seed=34).values
         pseudo = pseudo_observations(SignalMatrix(values))
-        pattern, model = _best_orientation(_average_ranks(pseudo.values), FAMILY_NAMES)
+        ranks = _average_ranks(pseudo.values)
+        before = ranks.copy()
+        fit = _fit_block(ranks, tuple(range(pseudo.n_channels)), FAMILY_NAMES)
+        model = fit.copula
         ref_pattern, ref_model = brute_force_orientation(pseudo, FAMILY_NAMES)
-        assert tuple(pattern) == tuple(ref_pattern)
+        flips = np.array(ref_pattern)
+        assert tuple(np.diag(fit.within) < 0) == tuple(ref_pattern)
+        assert np.array_equal(fit.within, np.diag(np.where(flips, -1.0, 1.0)))
+        # the record holds the ranks the winner was fitted on; the caller's are untouched
+        assert np.array_equal(fit.ranks, np.where(flips[:, None], pseudo.n_samples + 1 - ranks, ranks))
+        assert np.array_equal(ranks, before)
         assert model.family == ref_model.family
         if model.family == "gaussian":
             assert np.array_equal(model.correlation, ref_model.correlation)
@@ -905,17 +913,17 @@ class TestCcaFit:
 
         def recording(pseudo, block, menu, orient=True):
             if not orient:
-                refits.append((_best_orientation(pseudo, menu), _best_orientation(pseudo, menu, orient=False)))
+                refits.append((fit_block(pseudo, block, menu), fit_block(pseudo, block, menu, orient=False)))
             return fit_block(pseudo, block, menu, orient)
 
         monkeypatch.setattr(inference, "_fit_block", recording)
         mixing = well_conditioned_mixing(np.random.default_rng(seed), 2)
         cca_fit(mix(s, mixing), partition=BlockPartition(((0, 1),), 2), seed=seed)
         assert len(refits) == 1
-        (pattern, model), (kept, refit) = refits[0]
-        assert pattern == kept == (False, False)
-        assert model.family == refit.family == cls(2.0).family
-        assert model.theta == refit.theta
+        full, kept = refits[0]
+        assert tuple(np.diag(full.within) < 0) == tuple(np.diag(kept.within) < 0) == (False, False)
+        assert full.copula.family == kept.copula.family == cls(2.0).family
+        assert full.copula.theta == kept.copula.theta
 
     @pytest.mark.parametrize(
         "x, blocks, match",
@@ -1051,7 +1059,7 @@ class TestRankKernelLeavesOutputsUnchanged:
 def _with_reference_scores(monkeypatch, run):
     """run() as is, then with plain ndtri in place of the normal-score table
     and each clayton or gumbel candidate scored by evaluating its fitted
-    model again, as ``_penalized_score`` does."""
+    model again, as ``_fit_block`` scores product and gaussian."""
     native = run()
     search = inference._fit_archimedean
 
