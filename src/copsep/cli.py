@@ -49,8 +49,9 @@ def _parse_cell(token: str):
 
 def _parse_lines(path: str, lines, first: int, width: int) -> np.ndarray:
     """The rows ``lines``, which start at line ``first`` (0-based) of the
-    file, as a (rows, width) block: the chunk that ``_parse_rows``
-    declines, and the only place that raises the reader's errors.
+    file, as a (rows, width) block: a chunk that ``_parse_rows`` declines,
+    or the first data record that ``_read_width`` checks, and the only
+    place that raises an error in a row's fields.
 
     Every cell is read by ``float`` in one pass. When that pass fails (a
     field count other than ``width``, or a non-numeric or non-finite
@@ -78,6 +79,71 @@ def _parse_lines(path: str, lines, first: int, width: int) -> np.ndarray:
 
 # ASCII bytes other than "\n" at which str.splitlines ends a line
 _OTHER_LINE_BREAKS = b"\r\v\f\x1c\x1d\x1e"
+# bytes of the first block that _read_width reads; a later block is as long
+# as all before it
+_HEAD_BYTES = 4096
+
+
+def _first_record(path: str, lines: list, ended: bool = True):
+    """``(start, width)`` of a CSV file whose first lines are ``lines``, the
+    ``str.splitlines`` of its text after a leading UTF-8 byte order mark is
+    dropped. Line 0 is a header, and ``start`` is 1, when any of its fields
+    is not a number to ``float`` ("nan" and "inf" are numbers); ``width`` is
+    the field count of line ``start``, the first data record.
+
+    When ``lines`` stop before that record, the file is empty or has no
+    data rows if it has ``ended``, both errors; otherwise the result is
+    None, and only more lines decide."""
+    start = 1 if lines and any(_parse_cell(tok) is None for tok in lines[0].split(",")) else 0
+    if start < len(lines):
+        return start, lines[start].count(",") + 1
+    if ended:
+        raise ValueError(f"{path}: no data rows" if lines else f"{path}: empty file")
+    return None
+
+
+def _not_utf8(path: str, raw: bytes, at: int) -> ValueError:
+    """The reader's error for the first byte of ``raw`` that is not UTF-8,
+    at offset ``at``: its value and its 1-based row."""
+    row = len((raw[:at].decode() + "x").splitlines())
+    return ValueError(f"{path}: not UTF-8 text (byte 0x{raw[at]:02x} at row {row})")
+
+
+def _read_width(path: str) -> int:
+    """The channel count of a samples-by-channels CSV, read from its head:
+    the file up to the end of its first data record.
+
+    The head is read by ``read_signal_csv``'s rules, so its errors are the
+    reader's: a leading UTF-8 byte order mark is dropped, a byte that is
+    not UTF-8 is an error, lines are those of ``str.splitlines``, the
+    header and the width come from ``_first_record``, and the first data
+    record is checked by ``_parse_lines``. Nothing after that record is
+    decoded or checked, so later rows may be ragged, non-numeric,
+    non-finite or not UTF-8.
+
+    Blocks are read until the decoded text holds the record and the line
+    break after it, the file ends, or a byte that is not UTF-8 stops the
+    text before the record."""
+    with open(path, "rb") as fh:
+        head = b""
+        while True:
+            block = fh.read(max(len(head), _HEAD_BYTES))
+            head += block
+            raw = head.removeprefix(codecs.BOM_UTF8)
+            try:
+                text, bad = codecs.utf_8_decode(raw, "strict", not block)[0], None
+            except UnicodeDecodeError as err:
+                text, bad = raw[:err.start].decode(), err.start
+            ended = not block and bad is None
+            # the lines that end in a line break, and the last one at the end of the file
+            lines = text.splitlines() if ended else (text + "x").splitlines()[:-1]
+            found = _first_record(path, lines, ended)
+            if found:
+                start, width = found
+                _parse_lines(path, lines[start:start + 1], start, width)
+                return width
+            if bad is not None:
+                raise _not_utf8(path, raw, bad)
 
 
 def read_signal_csv(path: str) -> SignalMatrix:
@@ -106,8 +172,7 @@ def read_signal_csv(path: str) -> SignalMatrix:
         try:
             text = raw.decode()
         except UnicodeDecodeError as err:
-            row = len((raw[:err.start].decode() + "x").splitlines())
-            raise ValueError(f"{path}: not UTF-8 text (byte 0x{raw[err.start]:02x} at row {row})") from None
+            raise _not_utf8(path, raw, err.start) from None
         raw = "\n".join([*text.splitlines(), ""]).encode()  # each line ends in "\n"
     elif raw and not raw.endswith(b"\n"):
         raw += b"\n"
@@ -119,12 +184,7 @@ def read_signal_csv(path: str) -> SignalMatrix:
     def rows(lo: int, hi: int):
         return raw[bounds[lo]:bounds[hi]].decode().split("\n")[:-1]
 
-    if not n_lines:
-        raise ValueError(f"{path}: empty file")
-    start = 1 if any(_parse_cell(tok) is None for tok in rows(0, 1)[0].split(",")) else 0
-    if start == n_lines:
-        raise ValueError(f"{path}: no data rows")
-    width = rows(start, start + 1)[0].count(",") + 1
+    start, width = _first_record(path, rows(0, min(n_lines, 2)))
     data = np.empty((n_lines - start, width))
     for lo in range(start, n_lines, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, n_lines)
@@ -703,9 +763,12 @@ def _fields_of(path: str):
 
 
 def cmd_evaluate(args) -> int:
+    """Score the estimate against the truth. Of ``--data`` only the head is
+    read (``_read_width``): its first data record must be valid and hold
+    one field per channel of the truth; later rows are not read."""
     estimate = _load_json(args.estimate)
     truth = _load_json(args.truth)
-    data = read_signal_csv(args.data)
+    data_width = _read_width(args.data)
 
     with _fields_of(args.truth):
         n = _json_int(truth["channels"], "channels")
@@ -721,8 +784,8 @@ def cmd_evaluate(args) -> int:
         estimate_partition = _json_partition(estimate["partition"], n, args.estimate, "partition")
         divergence = _json_number(estimate["divergence"], "divergence")
         log_likelihood = _json_number(estimate["log_likelihood"], "log_likelihood")
-    if data.n_channels != n:
-        raise ValueError(f"{args.data}: expected {n} channels, got {data.n_channels}")
+    if data_width != n:
+        raise ValueError(f"{args.data}: expected {n} channels, got {data_width}")
 
     gain = demixing @ mixing
     perm = align_permutation(gain)
@@ -794,7 +857,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="score an estimate against the ground truth")
     evaluate.add_argument("--estimate", required=True, help="report JSON from separate")
     evaluate.add_argument("--truth", required=True, help="truth JSON from synth")
-    evaluate.add_argument("--data", required=True, help="sources CSV (for shape checks)")
+    evaluate.add_argument(
+        "--data", required=True, help="sources CSV (for shape checks); only its first data record is read and checked"
+    )
     evaluate.add_argument("--out", required=True, help="metrics JSON")
 
     return parser

@@ -460,6 +460,9 @@ class TestCsvStructure:
         path.write_bytes(LAYOUTS[layout]("".join(row + "\n" for row in rows)).encode())
         with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
             assert outcome(read_signal_csv, path) == outcome(reference_read, path)
+        # the head read counts channels by the reader's first-record rule; a
+        # bad row in the third chunk is past its head
+        assert cli._read_width(path) == len(reference_read(path) if bad is None else values)
 
     @pytest.mark.parametrize("layout", ["crlf", "cr", "non-ascii header"])
     def test_every_layout_certified_by_the_kernel(self, tmp_path, values, certified, layout):
@@ -967,6 +970,102 @@ class TestEvaluate:
         assert code == 2
         assert f"error: {paths[document]}: " in capsys.readouterr().err
         assert not metrics_path.exists()
+
+    @pytest.fixture
+    def scored(self, tmp_path):
+        """``evaluate(data)``: the exit code of `copsep evaluate` on a
+        3-channel truth, an estimate equal to it and ``--data data``, and
+        the bytes of its metrics.json (None when it wrote none); ``clean``:
+        a valid 3-channel data file."""
+        clean, truth_path = synth_example(tmp_path)
+        truth = json.loads(truth_path.read_text())
+        estimate_path = tmp_path / "est.json"
+        estimate_path.write_text(json.dumps({
+            "demixing": np.eye(3).tolist(),
+            "partition": truth["partition"],
+            "copula": truth["copula"],
+            "divergence": 0.0,
+            "log_likelihood": -1.0,
+        }))
+
+        def evaluate(data):
+            metrics = tmp_path / "m.json"
+            metrics.unlink(missing_ok=True)
+            code = run("evaluate", "--estimate", estimate_path, "--truth", truth_path,
+                       "--data", data, "--out", metrics)
+            return code, metrics.read_bytes() if metrics.exists() else None
+
+        return evaluate, clean
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("row", [b"1,2", b"1,oops,3", b"1,nan,3", b"1,\xff,3"],
+                             ids=["ragged", "non-numeric", "non-finite", "not-utf8"])
+    def test_rows_after_the_first_record_are_not_read(self, tmp_path, scored, header, row):
+        # only the channel count of --data is used, so a bad row after the
+        # first data record, which the full reader rejects, changes nothing
+        evaluate, clean = scored
+        first, *rest = clean.read_bytes().splitlines(keepends=True)
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"c1,c2,c3\n" * header + first + row + b"\n" + b"".join(rest))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(data))}: "):
+            read_signal_csv(data)
+        code, metrics = evaluate(data)
+        assert code == 0
+        assert metrics == evaluate(clean)[1]
+
+    @pytest.mark.parametrize("content, message, reader_agrees", [
+        (b"", "empty file", True),
+        (b"c1,c2,c3\n", "no data rows", True),
+        (b"c1,\xff,c3\n1,2,3\n", "not UTF-8 text (byte 0xff at row 1)", True),
+        (b"c1,c2,c3\n1,2\xff,3\n", "not UTF-8 text (byte 0xff at row 2)", True),
+        (b"1,2\n1,2,3\n", "expected 3 channels, got 2", False),
+        (b"c1,c2,c3\n1,oops,3\n1,2,3\n", "row 2, column 2: non-numeric value 'oops'", True),
+        (b"1,nan,3\n1,2,3\n", "row 1, column 2: non-finite value 'nan'", True),
+        (b"1,2,3,4\n1,2,3,4\n", "expected 3 channels, got 4", False),
+    ], ids=["empty", "header-only", "not-utf8-first-line", "not-utf8-first-record", "ragged-first-record",
+            "non-numeric-first-record", "nan-first-record", "channel-mismatch"])
+    def test_bad_head_exits_2_naming_the_file(self, tmp_path, capsys, scored, content, message, reader_agrees):
+        # up to its first data record, --data is checked as read_signal_csv
+        # checks it, and that record must hold one field per channel
+        evaluate, _ = scored
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        capsys.readouterr()
+        assert evaluate(data) == (2, None)
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        if reader_agrees:
+            assert outcome(read_signal_csv, data) == ("error", f"{data}: {message}")
+
+    def test_data_is_never_read_in_full(self, scored):
+        evaluate, clean = scored
+        with mock.patch.object(cli, "read_signal_csv", side_effect=AssertionError("read_signal_csv")) as spy:
+            assert evaluate(clean)[0] == 0
+        spy.assert_not_called()
+
+    @pytest.mark.parametrize("content, expected", [
+        ("\ufeffc1,c2,c3\r\n1,2,3\r\n4,5,6\r\n", 3),
+        ("\ufeff1.5,2\n", 2),
+        ("temp\u00e9rature,b\u2028 1,2,3\u20291,2\n", 3),
+        ("1,2,3,4\r", 4),
+        ("c\u00e9,c2\n1,2", 2),
+        ("c1,c2\r\n1,2\r\n\udcff", 2),
+        ("c\u00e9\udcff,c2\n1,2\n", "not UTF-8 text (byte 0xff at row 1)"),
+        ("c1\r\n", "no data rows"),
+        ("1,inf\n1,2\n", "row 1, column 2: non-finite value 'inf'"),
+    ])
+    @pytest.mark.parametrize("head_bytes", [1, 2, 3, 4096])
+    def test_head_read_over_block_boundaries(self, tmp_path, content, expected, head_bytes):
+        # blocks of a few bytes split a BOM, a multi-byte character and a
+        # "\r\n"; every block size gives the file's width or error
+        # ("\udcff" writes the byte 0xff)
+        data = tmp_path / "x.csv"
+        data.write_bytes(content.encode("utf-8", "surrogateescape"))
+        with mock.patch.object(cli, "_HEAD_BYTES", head_bytes):
+            try:
+                got = cli._read_width(data)
+            except ValueError as err:
+                got = str(err).removeprefix(f"{data}: ")
+        assert got == expected
 
     def test_missing_file_exits_2(self, tmp_path):
         code = run(
