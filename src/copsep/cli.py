@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import io
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ MARGIN_PARAMS = (0.0, 1.0)
 # ---------------------------------------------------------------------------
 # CSV input/output
 
-# Rows per chunk of the CSV reader and writer.
+# Rows per chunk of the CSV writer.
 _CSV_CHUNK_ROWS = 2048
 
 
@@ -49,13 +50,16 @@ def _parse_cell(token: str):
 
 def _parse_lines(path: str, lines, first: int, width: int) -> np.ndarray:
     """The rows ``lines``, which start at line ``first`` (0-based) of the
-    file, as a (rows, width) block: a chunk that ``_parse_rows`` declines,
-    or the first data record that ``_read_width`` checks, and the only
-    place that raises an error in a row's fields.
+    file, as a (rows, width) block: the data lines of a file whose cells
+    ``np.loadtxt`` does not all read, or the first data record that
+    ``_read_width`` checks, and the only place that raises an error in a
+    row's fields.
 
-    Every cell is read by ``float`` in one pass. When that pass fails (a
-    field count other than ``width``, or a non-numeric or non-finite
-    cell), the rows are scanned in order and the first bad one raises."""
+    Every cell is read by ``float`` in one pass, so a cell that ``float``
+    reads and ``np.loadtxt`` rejects (``1_0``, non-ASCII digits) gets its
+    value here. When that pass fails (a field count other than ``width``,
+    or a non-numeric or non-finite cell), the rows are scanned in order
+    and the first bad one raises."""
     if set(map(str.count, lines, repeat(","))) == {width - 1}:
         try:
             block = np.fromiter(map(float, ",".join(lines).split(",")), float, len(lines) * width)
@@ -158,13 +162,14 @@ def read_signal_csv(path: str) -> SignalMatrix:
 
     Lines are those of ``str.splitlines``. A file that is not ASCII text
     with LF line ends is decoded once and rewritten as its lines, each
-    ending in ``"\\n"``, so every file is read from LF bytes. Rows are
-    parsed a chunk at a time, and every value is the double that
-    ``float`` gives for its cell. Each chunk goes first to
-    ``_parse_rows``, which reads cells of the grammar
-    ``-?d+(.d+)?([eE][+-]?d{1,3})?`` and declines a chunk with any other
-    cell, a ragged row or a blank line; a chunk it declines goes to
-    ``_parse_lines``, so the error is the first one in file order.
+    ending in ``"\\n"``, so every file is read from LF bytes, and every
+    value is the double that ``float`` gives for its cell. The data lines
+    go to one ``np.loadtxt``, which reads each cell with the C routine
+    that ``float`` calls, so it gives the same bits. Its result is kept
+    when it has one row per data line and ``width`` columns and every
+    value is finite. Otherwise all data lines go to ``_parse_lines``,
+    which reads the cells ``np.loadtxt`` rejects and ``float`` accepts
+    (``1_0``), and raises the first error in file order.
     """
     with open(path, "rb") as fh:
         raw = fh.read().removeprefix(codecs.BOM_UTF8)
@@ -176,197 +181,25 @@ def read_signal_csv(path: str) -> SignalMatrix:
         raw = "\n".join([*text.splitlines(), ""]).encode()  # each line ends in "\n"
     elif raw and not raw.endswith(b"\n"):
         raw += b"\n"
-    # line i is raw[bounds[i]:bounds[i + 1] - 1]
-    bounds = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10) + 1
-    bounds = [0, *bounds.tolist()]
-    n_lines = len(bounds) - 1
-
-    def rows(lo: int, hi: int):
-        return raw[bounds[lo]:bounds[hi]].decode().split("\n")[:-1]
-
-    start, width = _first_record(path, rows(0, min(n_lines, 2)))
-    data = np.empty((n_lines - start, width))
-    for lo in range(start, n_lines, _CSV_CHUNK_ROWS):
-        hi = min(lo + _CSV_CHUNK_ROWS, n_lines)
-        block = _parse_rows(raw[bounds[lo]:bounds[hi]], width)
-        if block is None:
-            block = _parse_lines(path, rows(lo, hi), lo, width)
-        data[lo - start:hi - start] = block
-    return SignalMatrix(data.T)
-
-
-# 10**k for k = 0..17: digit counts and 17-digit significands of _parse_rows
-_POW10 = np.array([10**k for k in range(18)], dtype=np.uint64)
-# per word k of a 24-byte window held in 3 little-endian words, the masks
-# of its bytes j < c, for c = 0..24
-_LOW_BYTES = np.array(
-    [[(1 << 8 * min(max(c - 8 * k, 0), 8)) - 1 for c in range(25)] for k in range(3)], dtype=np.uint64
-)
-# per word, and digit count d = 0..24: the mask of a window's last d bytes,
-# and the "0" bytes under it
-_KEEP = ~_LOW_BYTES[:, ::-1]
-_ZEROS = _KEEP & np.uint64(0x3030303030303030)
-# w * 10**q for q = -26..14 is w * _SCALE_UP[q + 26] / _SCALE_DOWN[q + 26]:
-# one factor is 1, the other the double nearest 10**|q|
-_SCALE_UP = np.array([float(10 ** max(q, 0)) for q in range(-26, 15)])
-_SCALE_DOWN = np.array([float(10 ** max(-q, 0)) for q in range(-26, 15)])
-# "0" bytes around a chunk, so that every window and neighbour read is in
-# the buffer; they add no separator and no non-digit byte; the end pads
-# the buffer to whole words
-_PAD = b"0" * 32
-_U8, _U16, _U32, _U56 = (np.uint64(n) for n in (8, 16, 32, 56))
-_ROWS4 = np.arange(4)[:, None]
-# Lemire's SWAR constants: digit pairs, and the scales 100, 10**6 and 1, 10**4
-_PAIRS = np.uint64(0x000000FF000000FF)
-_MUL_HIGH = np.uint64(100 + (10**6 << 32))
-_MUL_LOW = np.uint64(1 + (10**4 << 32))
-
-
-def _parse_rows(chunk: bytes, width: int) -> np.ndarray | None:
-    """The (rows, width) block of doubles of ``chunk``, lines of ``width``
-    cells that each end in ``"\\n"``, or None to decline the chunk.
-
-    Each cell must match ``-?d+(.d+)?([eE][+-]?d{1,3})?``: separators and
-    field counts come from byte masks, and a cell's sign, point and
-    exponent from fixed offsets and the point positions; the chunk is
-    declined unless these account for every non-digit byte. A cell is the
-    significand w of its mantissa digits times 10**q. Up to 24 mantissa
-    digits, the point removed, are read right-aligned in 3 words, padded
-    with "0" on the left, and converted 8 digits at a time by Lemire's
-    SWAR method.
-
-    A nonzero w below 10**17 gives the candidate double w * 10**q, within
-    a few ulps of the value when it lies in [1e-10, 1e15). The candidate
-    is accepted only when its correctly rounded 17-digit decimal, from the
-    writer's ``_decimal_significands``, is the cell's own decimal;
-    otherwise its neighbours one and two ulps toward the cell's decimal
-    are tried. ``%.17g`` round-trips, so a decimal that is the 17-digit
-    image of a double reads back under ``float`` as that double: an
-    accepted value is exactly ``float(cell)``. A zero w is ±0. Every other
-    cell (more than 17 significant digits, a value outside [1e-10, 1e15),
-    or a decimal such as ``0.1`` that is no double's 17-digit image) is
-    parsed by ``float`` on its own bytes. A non-finite value declines the
-    chunk."""
-    buf = _PAD + chunk + b"0" * (40 - len(chunk) % 8)
-    b = np.frombuffer(buf, np.uint8)
-    marks = np.flatnonzero(((b | np.uint8(2)) == 46) | (b == 10))  # "," or ".", and "\n"
-    is_dot = b[marks] == 46
-    ends = marks[np.flatnonzero(~is_dot)]  # the separator after each cell
-    newline = b[ends] == 10
-    n_rows = np.count_nonzero(newline)
-    if ends.size != n_rows * width or not newline[width - 1::width].all():
-        return None
-    starts = np.concatenate(([len(_PAD)], ends[:-1] + 1))
-    neg = b[starts] == 45
-    lead = starts + neg  # the first mantissa digit
-
-    identified = np.count_nonzero(neg)  # non-digit bytes of the grammar
-
-    # the exponent: "e" or "E" 2..5 bytes before the end of the cell, after
-    # a mantissa digit; exp is the end of the mantissa
-    exp, e10 = ends, 0
-    if np.count_nonzero((b | np.uint8(32)) == 101):
-        exp = ends.copy()
-        for j in (5, 4, 3, 2):
-            at = ends - j
-            np.copyto(exp, at, where=((b[at] | np.uint8(32)) == 101) & (at > lead))
-        cells = np.flatnonzero(exp < ends)
-        sign = b[exp[cells] + 1]
-        signed = (sign == 45) | (sign == 43)
-        last = ends[cells]
-        n = last - exp[cells] - 1 - signed
-        if ((n < 1) | (n > 3)).any():
-            return None
-        e = b[last - 1].astype(np.int64) - 48
-        e += (n >= 2) * 10 * (b[last - 2].astype(np.int64) - 48)
-        e += (n >= 3) * 100 * (b[last - 3].astype(np.int64) - 48)
-        e10 = np.zeros(ends.size, np.int64)
-        e10[cells] = np.where(sign == 45, -e, e)
-        identified += cells.size + np.count_nonzero(signed)
-
-    # the point, in the cell of the separators before it; a cell without
-    # one has dot = exp
-    dot_at = np.flatnonzero(is_dot)
-    dot_cell = dot_at - np.arange(dot_at.size)
-    if (dot_cell[1:] == dot_cell[:-1]).any():
-        return None
-    has_dot = np.zeros(ends.size, bool)
-    has_dot[dot_cell] = True
-    dot = exp.copy()
-    dot[dot_cell] = marks[dot_at]
-    frac = exp - dot - has_dot  # digits after the point
-    digits = exp - lead - has_dot
-    identified += dot_at.size
-    if (
-        b.size - np.count_nonzero(b - np.uint8(48) < np.uint8(10)) - ends.size != identified
-        or (dot - lead < 1).any()
-        or (frac < has_dot).any()
-    ):
-        return None
-
-    # the mantissa digits right-aligned in 3 words, one per row: byte c of
-    # the window is at exp - 24 + c right of the point, one byte further
-    # left up to it
-    at = exp - 24
-    shift = (at & 7).astype(np.uint64) * _U8
-    loads = b.view(np.uint64).take((at >> 3) + _ROWS4)
-    right = (loads[:3] >> shift) | ((loads[1:] << (_U56 - shift)) << _U8)
-    left = right << _U8
-    left[0] |= b[exp - 25]
-    left[1:] |= right[:2] >> _U56
-    v = right ^ ((left ^ right) & np.take(_LOW_BYTES, (dot - at + 1) * has_dot, axis=1, mode="clip"))
-    v &= np.take(_KEEP, digits, axis=1, mode="clip")
-    v -= np.take(_ZEROS, digits, axis=1, mode="clip")
-    # Lemire's SWAR conversion of 8 digits, the first in the lowest byte
-    v = v * np.uint64(10) + (v >> _U8)
-    v = ((v & _PAIRS) * _MUL_HIGH + ((v >> _U16) & _PAIRS) * _MUL_LOW) >> _U32
-    v &= np.uint64(0xFFFFFFFF)
-    long = (digits > 24) | (v[0] >= np.uint64(10))  # more than 17 significant digits
-    w = v[0] * _POW10[16] + v[1] * _POW10[8] + v[2]
-
-    # the cell's 17-digit decimal sig * 10**-k, and the candidate x
-    q = e10 - frac
-    n_digits = np.searchsorted(_POW10, w, side="right")
-    sig = w * np.take(_POW10, 17 - n_digits, mode="clip")
-    k = (17 - q - n_digits).astype(np.uint64)
-    x = w.astype(np.float64) * np.take(_SCALE_UP, q + 26, mode="clip") / np.take(_SCALE_DOWN, q + 26, mode="clip")
-    x[long] = 0.0  # never certified
-    ok, miss, below = _certify(x, sig, k)
-    values = np.where(ok, x, 0.0)
-    rest = ~ok & (long | (w != 0))
-    # a missed candidate steps one ulp toward the cell's decimal, twice at
-    # most, while it stays on the same side of it
-    at = np.flatnonzero(miss)
-    x, up = x[at], below[at]
-    for _ in range(2):
-        if not at.size:
-            break
-        x = np.nextafter(x, np.where(up, np.inf, 0.0))
-        ok, miss, below = _certify(x, sig[at], k[at])
-        values[at[ok]] = x[ok]
-        rest[at[ok]] = False
-        same = miss & (below == up)
-        at, x, up = at[same], x[same], up[same]
-    for i in np.flatnonzero(rest).tolist():
-        values[i] = float(buf[lead[i]:ends[i]])
-    values = np.where(neg, -values, values)
-    if not np.isfinite(values).all():
-        return None
-    return values.reshape(n_rows, width)
-
-
-def _certify(x, sig, k):
-    """Which doubles ``x`` print under ``%.17g`` as the decimals
-    sig * 10**-k (sig in [10**16, 10**17)), which miss them, and which
-    print below them; a double outside [1e-10, 1e15), the domain of
-    ``_decimal_significands``, neither prints as its decimal nor misses
-    it."""
-    inside = (x >= 1e-10) & (x < 1e15)
-    f, fk = _decimal_significands(np.where(inside, x, 1.0))
-    same_k = fk == k
-    ok = inside & same_k & (f == sig)
-    below = (fk > k) | (same_k & (f < sig))
-    return ok, inside & ~ok, below
+    n_lines = raw.count(b"\n")
+    # the first two lines, without the empty string after the last "\n"
+    head = raw.split(b"\n", 2)[:min(n_lines, 2)]
+    start, width = _first_record(path, [line.decode() for line in head])
+    # np.loadtxt skips blank lines, so a blank data line leaves it a row
+    # short, and it warns when it reads no row: it is not called when the
+    # first data line is blank
+    if head[start]:
+        try:
+            data = np.loadtxt(
+                io.BytesIO(raw), delimiter=",", comments=None, skiprows=start, ndmin=2, encoding="utf-8"
+            )
+        except ValueError:
+            pass
+        else:
+            if data.shape == (n_lines - start, width) and np.isfinite(data).all():
+                return SignalMatrix(data.T)
+    lines = raw.decode().split("\n")[:-1]
+    return SignalMatrix(_parse_lines(path, lines[start:], start, width).T)
 
 
 def write_signal_csv(signals: SignalMatrix, path: str, header: bool = False):

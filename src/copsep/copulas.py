@@ -243,18 +243,33 @@ class ClaytonCopula(Copula):
         v = rng.gamma(1.0 / self.theta, 1.0, n)
         if v.all():
             e = rng.exponential(1.0, (self.dim, n))
-            u = np.exp(-np.log1p(e / v) / self.theta)
+            with np.errstate(over="ignore"):
+                ratio = e / v
+            u = np.exp(-np.log1p(ratio) / self.theta)
+            # e / v overflows where v is subnormal (theta of about 50 and
+            # above); there log1p(e / v) is log e - log v to rounding
+            i, j = np.nonzero(np.isinf(ratio))
+            u[i, j] = np.exp((np.log(v[j]) - np.log(e[i, j])) / self.theta)
         else:
             # at theta of about 100 and above gamma(1 / theta) draws underflow
             # to 0, so this call draws log v instead: v = g w^theta with
-            # g ~ gamma(1 / theta + 1) and w uniform, log w = -Exp(1); then
-            # log1p(e / v) = logaddexp(0, log e - log v)
+            # g ~ gamma(1 / theta + 1) and w uniform, log w = -x, x ~ Exp(1);
+            # then log1p(e / v) = logaddexp(0, log e - log v)
             log_v = np.log(rng.gamma(1.0 / self.theta + 1.0, 1.0, n))
-            log_v -= self.theta * rng.exponential(1.0, n)
+            x = rng.exponential(1.0, n)
+            with np.errstate(over="ignore"):
+                log_v -= self.theta * x
+            # theta * x overflows only at theta near the double maximum, and
+            # then x >= 1, so log1p(e / v) / theta = x + (log e - log g) / theta
+            # is x to rounding, unless e = 0
+            over = np.isinf(log_v)
+            log_v[over] = 0.0
             with np.errstate(divide="ignore"):
                 log_ratio = np.log(rng.exponential(1.0, (self.dim, n)))
             log_ratio -= log_v
             u = np.exp(-np.logaddexp(0.0, log_ratio) / self.theta)
+            i, j = np.nonzero(over & (log_ratio > -np.inf))
+            u[i, j] = np.exp(-x[j])
         return np.clip(u, _U_LO, _U_HI)
 
 

@@ -136,8 +136,8 @@ def write_rows(path, rows):
 
 
 class TestCsvChunks:
-    """Reading and writing work on chunks of rows; the bytes, the values and
-    the first error in file order are those of a per-cell reader and writer."""
+    """Writing works on chunks of rows; the bytes, the values and the first
+    error in file order are those of a per-cell reader and writer."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(values=finite_matrices, header=st.booleans(), chunk_rows=st.sampled_from([1, 2, 5, 2048]))
@@ -338,7 +338,7 @@ BAD_TOKENS = [
     "+1", ".5", "5.", "1_0", "\u0661", "\u0663.\u0665", "nan", "-inf", "1e999", "4x", "+-4", "4e", ".",
     "4.5.6", "1e5.5", "-", "4-", "", " 1", "1 ", "1e+", "1e1234", "--1", "1..2", "e5", "1E-", "0x10",
 ]
-# %.17g images whose candidate w * 10**q is two ulps from the double
+# %.17g images two ulps from their significand w times the double nearest 10**q
 TWO_ULPS = ["1.1784768310015671e-07", "7.3786141454839815e-09", "3.7060984608141579e-09", "1.1730716847643999e-07"]
 
 
@@ -350,44 +350,63 @@ def chunk_of(rows) -> bytes:
     return "".join(",".join(row) + "\n" for row in rows).encode()
 
 
-class TestParseRows:
-    """``cli._parse_rows`` gives the doubles of ``float`` on every cell of a
-    chunk, or declines it."""
+class TestReadCells:
+    """``read_signal_csv`` gives the doubles of ``float`` on every cell of a
+    file, or the reference's first error."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(rows=st.integers(1, 4).flatmap(lambda w: rows_of(w, grammar_tokens() | WRITER_TOKENS)))
     @example(rows=[["-0", "0", "-0.000", "0e5", "-00.0E-0"]])
     @example(rows=[["0.1", "0.3", "1e-10", "1e15", "123456789012345678", "1234567890123456789012345"]])
     @example(rows=[[token] for token in TWO_ULPS])
-    def test_grammar_cells_read_as_float(self, rows):
+    def test_grammar_cells_read_as_float(self, tmp_path_factory, rows):
         expected = np.array([[float(cell) for cell in row] for row in rows])
-        block = cli._parse_rows(chunk_of(rows), len(rows[0]))
-        if np.isfinite(expected).all():
-            assert block is not None
-            assert block.tobytes() == expected.tobytes()  # bit-exact, -0.0 included
-        else:
-            assert block is None
-
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(
-        rows=st.integers(1, 4).flatmap(lambda w: rows_of(w, grammar_tokens() | st.sampled_from(BAD_TOKENS))),
-        chunk_rows=st.sampled_from([1, 2, 5]),
-    )
-    def test_other_cells_declined_and_read_as_float(self, tmp_path_factory, rows, chunk_rows):
-        # a declined chunk is read cell by cell: the values, or the first error, are the reference's
-        chunk = chunk_of(rows)
-        if any(cell in BAD_TOKENS for row in rows for cell in row):
-            assert cli._parse_rows(chunk, len(rows[0])) is None
         path = tmp_path_factory.mktemp("csv") / "x.csv"
-        path.write_bytes(chunk)
-        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+        path.write_bytes(chunk_of(rows))
+        if np.isfinite(expected).all():
+            assert read_signal_csv(path).values.T.tobytes() == expected.tobytes()  # bit-exact, -0.0 included
+        else:
             assert outcome(read_signal_csv, path) == outcome(reference_read, path)
 
-    @pytest.mark.parametrize("chunk, width", [
-        (b"1,2\n3\n", 2), (b"1,2\n3,4,5\n", 2), (b"1,2\n3\n4,5\n", 2), (b"1,2\n,\n", 2), (b"1\n\n2\n", 1),
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 4).flatmap(lambda w: rows_of(w, grammar_tokens() | st.sampled_from(BAD_TOKENS))))
+    def test_other_cells_read_as_the_reference(self, tmp_path_factory, rows):
+        # the values, or the first error, are the reference's
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        path.write_bytes(chunk_of(rows))
+        assert outcome(read_signal_csv, path) == outcome(reference_read, path)
+
+    @pytest.mark.parametrize("content", [
+        b"1,2\n3\n", b"1,2\n3,4,5\n", b"1,2\n3\n4,5\n", b"1,2\n,\n", b"1\n\n2\n",
+        b"c1\n\n", b"c1,c2\n\n", b"\n\n1\n", b"c1,c2\n\n1,2\n",
     ])
-    def test_ragged_rows_and_blank_lines_declined(self, chunk, width):
-        assert cli._parse_rows(chunk, width) is None
+    def test_ragged_rows_and_blank_lines(self, tmp_path, content):
+        # np.loadtxt skips blank lines, and warns when it reads no row; each
+        # file is the reference's error, and no warning
+        path = tmp_path / "x.csv"
+        path.write_bytes(content)
+        got = outcome(read_signal_csv, path)
+        assert got[0] == "error"
+        assert got == outcome(reference_read, path)
+
+    @pytest.mark.parametrize("content", ["c1,c2\n", "c1,c2", "c1\r\n", "\ufeffc1\n", "\n"])
+    def test_header_only_has_no_data_rows(self, tmp_path, content):
+        path = tmp_path / "x.csv"
+        path.write_bytes(content.encode())
+        assert outcome(read_signal_csv, path) == ("error", f"{path}: no data rows")
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+    def test_cell_only_float_reads_past_row_5000(self, tmp_path, cell):
+        # np.loadtxt rejects the cell and float reads it: the file is read
+        # as the reference reads it
+        values = np.random.default_rng(23).laplace(size=(3, 6000))
+        path = tmp_path / "x.csv"
+        write_signal_csv(SignalMatrix(values), path)
+        rows = path.read_text().splitlines()
+        rows[5500] = f"1,{cell},3"
+        write_rows(path, rows)
+        values[:, 5500] = 1.0, float(cell), 3.0
+        assert outcome(read_signal_csv, path) == outcome(reference_read, path) == ("values", values.tobytes())
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_writer_edge_values_read_back(self, tmp_path, channels):
@@ -397,22 +416,6 @@ class TestParseRows:
         path = tmp_path / "x.csv"
         write_signal_csv(SignalMatrix(values), path)
         assert read_signal_csv(path).values.tobytes() == values.tobytes()
-        assert cli._parse_rows(path.read_bytes(), channels).tobytes() == values.T.tobytes()
-
-    def test_writer_cells_certified_without_float(self):
-        # each %.17g image with 1e-10 <= |x| < 1e15 is certified within two
-        # ulps; none of them needs the per-cell float
-        rng = np.random.default_rng(22)
-        values = np.concatenate([
-            rng.laplace(size=3000),
-            10 ** rng.uniform(-10, 15, 3000) * rng.choice([-1, 1], 3000),
-            [float(t) for t in TWO_ULPS],
-            [v for v in EDGE_TABLE if 1e-10 <= v < 1e15],
-        ])
-        chunk = "".join("%.17g\n" % v for v in values).encode()
-        with mock.patch("copsep.cli.float", create=True, side_effect=AssertionError("per-cell float")):
-            block = cli._parse_rows(chunk, 1)
-        assert block.ravel().tobytes() == values.tobytes()
 
 
 # file layouts, from a CSV text whose lines end in "\n"
@@ -426,28 +429,12 @@ LAYOUTS = {
 
 
 class TestCsvStructure:
-    """The chunked reader keeps the reference's values and first error over
-    file layouts that cross chunks."""
+    """The reader keeps the reference's values and first error over file
+    layouts."""
 
     @pytest.fixture
     def values(self):
         return np.random.default_rng(21).laplace(size=(3, 12))
-
-    @pytest.fixture
-    def certified(self, monkeypatch):
-        """Whether ``_parse_rows`` certified each chunk of 5 rows it was
-        given, in file order."""
-        certified = []
-        parse_rows = cli._parse_rows
-
-        def spy(chunk, width):
-            block = parse_rows(chunk, width)
-            certified.append(block is not None)
-            return block
-
-        monkeypatch.setattr(cli, "_parse_rows", spy)
-        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 5)
-        return certified
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 5])
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -464,29 +451,18 @@ class TestCsvStructure:
         # bad row in the third chunk is past its head
         assert cli._read_width(path) == len(reference_read(path) if bad is None else values)
 
-    @pytest.mark.parametrize("layout", ["crlf", "cr", "non-ascii header"])
-    def test_every_layout_certified_by_the_kernel(self, tmp_path, values, certified, layout):
-        # a file that is not ASCII with LF ends is rewritten with LF ends,
-        # so each of its chunks reaches _parse_rows, as the LF file's do
-        path = tmp_path / "x.csv"
-        write_signal_csv(SignalMatrix(values), path)
-        path.write_bytes(LAYOUTS[layout](path.read_text()).encode())
-        assert read_signal_csv(path).values.tobytes() == values.tobytes()
-        assert certified == [True, True, True]
-
     @pytest.mark.parametrize("bad, message", [
         ("1,oops,3", "row 7, column 2: non-numeric value 'oops'"),
         ("1,2", "row 7 has 2 fields, expected 3"),
     ])
-    def test_certified_chunk_then_declined_chunk_with_first_error(self, tmp_path, values, certified, bad, message):
+    def test_first_error_in_file_order(self, tmp_path, values, bad, message):
         rows = [",".join("%.17g" % v for v in row) for row in values.T]
         rows[6] = bad
-        rows[8] = "1,nan,3"  # a later error in the same chunk
+        rows[8] = "1,nan,3"  # a later error
         path = tmp_path / "x.csv"
         write_rows(path, rows)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_signal_csv(path)
-        assert certified == [True, False]
 
 
 class TestPartitionFlag:

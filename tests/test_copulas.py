@@ -419,6 +419,49 @@ class TestSampling:
         assert u.min() > 0.0 and u.max() < 1.0
         assert kendall_tau(u[0], u[1]) == pytest.approx(theta / (theta + 2.0), abs=0.01)
 
+    def test_clayton_samples_where_frailty_ratios_overflow(self):
+        # at theta = 80, seed 16, some gamma(1 / theta) frailties v are
+        # subnormal and e / v overflows; there u = (1 + e / v)^(-1/theta) is
+        # exp(-(log e - log v) / theta), near 1e-4 and not the clip value;
+        # every other draw is the gamma-frailty stream's
+        theta = 80.0
+        rng = np.random.default_rng(16)
+        v = rng.gamma(1.0 / theta, 1.0, 5000)
+        e = rng.exponential(1.0, (2, 5000))
+        with np.errstate(over="ignore"):
+            ratio = e / v
+        over = np.isinf(ratio)
+        assert v.all() and over.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = ClaytonCopula(theta, 2).sample(5000, seed=16).values
+        expected = np.clip(np.exp(-np.log1p(ratio) / theta), _U_LO, _U_HI)
+        assert np.array_equal(u[~over], expected[~over])
+        logs = np.log(e) - np.log(v)
+        assert u[over] == pytest.approx(np.exp(-logs[over] / theta), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [3e307, 1e308])
+    def test_clayton_samples_at_theta_near_the_double_maximum(self, theta):
+        # the log-space branch multiplies theta by x ~ Exp(1), which
+        # overflows for x > 1.8e308 / theta; there, as everywhere at such a
+        # theta, u is exp(-x) to rounding and not the clip value; where
+        # theta * x is finite the draws are the log-space stream's
+        rng = np.random.default_rng(1)
+        assert not rng.gamma(1.0 / theta, 1.0, 5000).all()
+        log_g = np.log(rng.gamma(1.0 / theta + 1.0, 1.0, 5000))
+        x = rng.exponential(1.0, 5000)
+        log_e = np.log(rng.exponential(1.0, (2, 5000)))
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(theta * x)
+        assert not finite.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = ClaytonCopula(theta, 2).sample(5000, seed=1).values
+        assert u == pytest.approx(np.exp(-np.broadcast_to(x, u.shape)), rel=1e-12)
+        log_ratio = log_e[:, finite] - (log_g[finite] - theta * x[finite])
+        expected = np.clip(np.exp(-np.logaddexp(0.0, log_ratio) / theta), _U_LO, _U_HI)
+        assert np.array_equal(u[:, finite], expected)
+
     @pytest.mark.parametrize("theta, d", [(2.0, 2), (1.0, 3), (50.0, 2)])
     def test_clayton_draws_are_the_gamma_frailty_stream(self, theta, d):
         rng = np.random.default_rng(4)
