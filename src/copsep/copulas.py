@@ -150,7 +150,10 @@ class GaussianCopula(Copula):
         return np.array([_bvn_cdf(a, b, r) for a, b in scores.T])
 
     def _log_density(self, pts):
-        q = _normal_scores(pts)
+        return self._log_density_of_scores(_normal_scores(pts))
+
+    def _log_density_of_scores(self, q):
+        """Log density at the points whose normal scores are q (d x m)."""
         shift = np.linalg.inv(self.correlation) - np.eye(self.dim)
         quad_form = np.einsum("dm,de,em->m", q, shift, q)
         _, logdet = np.linalg.slogdet(self.correlation)
@@ -237,6 +240,43 @@ class ClaytonCopula(Copula):
 
     def _log_density(self, pts):
         return self._log_density_at(self.theta, self._log_terms(pts))
+
+    @staticmethod
+    def _step_terms(log_u, log_x):
+        """The theta-free terms of the mean log density for a theta search
+        (``_mean_log_density_at``), from log u (d x T): per sample the
+        least log u, lo, and the gaps g_i = log u_i - lo >= 0 (for d = 2
+        only |log u_0 - log u_1|, the least channel's gap 0 left out); the
+        means of sum log u and of lo; and two work arrays."""
+        d = len(log_u)
+        lo = log_u.min(axis=0)
+        gaps = np.abs(log_u[:1] - log_u[1:]) if d == 2 else log_u - lo
+        return d, gaps, lo, log_u.sum(axis=0).mean(), lo.mean(), np.empty_like(gaps), np.empty_like(lo)
+
+    @staticmethod
+    def _mean_log_density_at(th, terms):
+        """Mean log density at the float theta ``th`` from the terms of
+        :meth:`_step_terms`, with sum u_i^{-theta} - (d - 1) written as
+        e^{-theta lo} (sum e^{-theta g_i} - (d - 1) e^{theta lo}): every
+        exponent is <= 0, and each step builds only the row of T values
+        log(sum e^{-theta g_i} - (d - 1) e^{theta lo}), by log1p for d = 2,
+        whose term e^0 = 1 is left out. Equal to
+        np.mean(_log_density_at(th, ...)) up to rounding."""
+        d, gaps, lo, mean_log_u_sum, mean_lo, work, row = terms
+        t = len(row)
+        np.multiply(lo, th, out=row)
+        np.exp(row, out=row)
+        row *= 1 - d
+        np.multiply(gaps, -th, out=work)
+        np.exp(work, out=work)
+        for term in work:
+            row += term
+        if len(gaps) < d:
+            np.log1p(row, out=row)
+        else:
+            np.log(row, out=row)
+        lead = sum(math.log1p(th * k) for k in range(1, d))
+        return lead - (th + 1.0) * mean_log_u_sum - (1.0 / th + d) * (row.sum() / t - th * mean_lo)
 
     def _sample(self, n, rng):
         # gamma-frailty construction: u_i = (1 + e_i / v)^{-1/theta}
@@ -357,6 +397,45 @@ class GumbelCopula(Copula):
 
     def _log_density(self, pts):
         return self._log_density_at(self.theta, self._log_terms(pts))
+
+    @staticmethod
+    def _step_terms(log_u, log_x):
+        """The theta-free terms of the mean log density for a theta search
+        (``_mean_log_density_at``), from log u and log x = log(-log u)
+        (2 x T): per sample |log x_0 - log x_1| and max(x_0, x_1); the
+        means of max(log x_0, log x_1), of sum log x and of sum log u; a
+        work array."""
+        gap = np.abs(log_x[0] - log_x[1])
+        x_hi = np.negative(log_u.min(axis=0))
+        hi = np.maximum(log_x[0], log_x[1])
+        mean_log_x_sum = (log_x[0] + log_x[1]).mean()
+        return gap, x_hi, hi.mean(), mean_log_x_sum, log_u.sum(axis=0).mean(), np.empty_like(gap)
+
+    @staticmethod
+    def _mean_log_density_at(th, terms):
+        """Mean log density at the float theta ``th`` from the terms of
+        :meth:`_step_terms`: with l = log1p(e^{-theta |gap|}), log s is
+        theta max(log x_i) + l and s^(1/theta) is max(x_i) e^{l / theta},
+        so each step builds only the rows l, s^(1/theta) and
+        log(s^(1/theta) + theta - 1) of T values; e^{l / theta} is at most
+        2^(1/theta) <= 2, so nothing overflows. Equal to
+        np.mean(_log_density_at(th, ...)) up to rounding."""
+        gap, x_hi, mean_hi, mean_log_x_sum, mean_log_u_sum, row = terms
+        t = len(row)
+        np.multiply(gap, -th, out=row)
+        np.exp(row, out=row)
+        np.log1p(row, out=row)
+        mean_log_s = th * mean_hi + row.sum() / t
+        row /= th
+        np.exp(row, out=row)
+        row *= x_hi
+        mean_s_root = row.sum() / t
+        row += th - 1.0
+        np.log(row, out=row)
+        return (
+            (th - 1.0) * mean_log_x_sum - mean_s_root + (1.0 / th - 2.0) * mean_log_s
+            + row.sum() / t - mean_log_u_sum
+        )
 
     def _sample(self, n, rng):
         # Marshall-Olkin frailty as for clayton: u_i = exp(-(e_i / v)^a) with v
@@ -557,7 +636,11 @@ def normal_scores_correlation(values) -> np.ndarray:
     Raises DegenerateInputError for a constant channel, whose correlation
     with any other channel is undefined.
     """
-    q = np.atleast_2d(_normal_scores(values))
+    return _scores_correlation(np.atleast_2d(_normal_scores(values)))
+
+
+def _scores_correlation(q) -> np.ndarray:
+    """``normal_scores_correlation`` from the normal scores q (d x T)."""
     constant = np.flatnonzero(q.min(axis=1) == q.max(axis=1))
     if constant.size:
         raise DegenerateInputError(f"channel {constant[0]} is constant; its normal-scores correlation is undefined")
@@ -600,10 +683,12 @@ def _theta_from_tau(family: str, tau):
     return 2.0 * tau / (1.0 - tau) if family == "clayton" else 1.0 / (1.0 - tau)
 
 
-def _fit_archimedean(values: np.ndarray, family: str, tau: float):
+def _fit_archimedean(values: np.ndarray, family: str, tau: float, log_u: np.ndarray | None = None):
     """Maximum pseudo-likelihood clayton or gumbel fit to the
     pseudo-observations ``values`` (d x T), given a Kendall tau estimate
-    for the block (see ``_mean_tau``), and its mean log density.
+    for the block (see ``_mean_tau``), and its mean log density;
+    ``log_u``, when given, is np.log(values), which a caller searching
+    both families on the same values takes once.
 
     theta0 comes from the tau inversion, and scipy's bounded Brent search
     (to _THETA_TOL) minimizes the negated mean log density on
@@ -612,13 +697,13 @@ def _fit_archimedean(values: np.ndarray, family: str, tau: float):
     edge that is not the domain bound (gumbel's theta = 1) and scores no
     worse than the search's optimum widens that side fourfold, lo first,
     and the search runs again, at most _BRACKET_WIDENINGS times. The
-    theta-free log terms are computed once; each Brent step and edge test
-    passes its theta and those terms to the family's ``_log_density_at``,
-    which evaluates only the theta-dependent remainder, and averages by
-    sum / T, np.mean's own sum and division; no copula is built until the
-    search ends. The mean log density returned is -fun of the last
-    search, bit for bit np.mean(model.log_density(values)): the same
-    terms, the same theta and the same mean.
+    family's theta-free terms (``_step_terms``) are computed once; each
+    Brent step and edge test passes its theta and those terms to the
+    family's ``_mean_log_density_at``, which builds only the
+    theta-dependent rows and averages them; no copula is built until the
+    search ends. The mean log density returned is evaluated once, at the
+    optimum, by the family's ``_log_density_at``: bit for bit
+    np.mean(model.log_density(values)).
 
     Returns
     -------
@@ -636,12 +721,13 @@ def _fit_archimedean(values: np.ndarray, family: str, tau: float):
     theta0 = _theta_from_tau(family, min(tau, 0.9999))
     cls = _THETA_FAMILIES[family]
     floor = cls._theta_floor
-    terms = cls._log_terms(values)
-    t = values.shape[1]
+    if log_u is None:
+        log_u = np.log(values)
+    log_x = np.log(-log_u) if family == "gumbel" else None
+    step_terms = cls._step_terms(log_u, log_x)
 
     def loss(th):
-        # sum / T is np.mean's own sum and division, bit for bit
-        return -float(cls._log_density_at(th, terms).sum()) / t
+        return -float(cls._mean_log_density_at(th, step_terms))
 
     lo, hi = max(floor, theta0 / 4.0), 4.0 * theta0
     for _ in range(_BRACKET_WIDENINGS + 1):
@@ -651,11 +737,41 @@ def _fit_archimedean(values: np.ndarray, family: str, tau: float):
         elif loss(hi) <= fit.fun:
             hi *= 4.0
         else:
-            return cls(fit.x, d), -float(fit.fun)
+            model = cls(fit.x, d)
+            log_density = cls._log_density_at(model.theta, cls._terms_of_logs(log_u, log_x))
+            return model, float(np.mean(log_density))
     raise FamilyDomainError(
         f"{family} likelihood still rises at the bracket edge theta = {fit.x:.6g} "
         f"after {_BRACKET_WIDENINGS} widenings"
     )
+
+
+def _gaussian_of_scores(q) -> GaussianCopula:
+    """The gaussian fit of ``fit_copula`` from the normal scores q (d x T)."""
+    rho = _scores_correlation(q)
+    evals, evecs = np.linalg.eigh(rho)
+    if evals[0] < 1e-8:
+        evals = np.maximum(evals, 1e-8)
+        rho = (evecs * evals) @ evecs.T
+        scale = np.sqrt(np.diag(rho))
+        rho = rho / np.outer(scale, scale)
+        rho = 0.5 * (rho + rho.T)
+        np.fill_diagonal(rho, 1.0)
+    return GaussianCopula(rho)
+
+
+def _fit_gaussian(values: np.ndarray):
+    """The gaussian fit of ``fit_copula`` to the pseudo-observations
+    ``values`` (d x T) and its mean log density, both from one array of
+    normal scores: bit for bit np.mean(model.log_density(values)).
+
+    Returns
+    -------
+    (model, mean_log_density) : (GaussianCopula, float)
+    """
+    q = _normal_scores(values)
+    model = _gaussian_of_scores(q)
+    return model, float(np.mean(model._log_density_of_scores(q)))
 
 
 def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
@@ -680,16 +796,7 @@ def fit_copula(pseudo: PseudoObservations, family: str) -> Copula:
     if family == "product":
         return ProductCopula(pseudo.n_channels)
     if family == "gaussian":
-        rho = normal_scores_correlation(pseudo.values)
-        evals, evecs = np.linalg.eigh(rho)
-        if evals[0] < 1e-8:
-            evals = np.maximum(evals, 1e-8)
-            rho = (evecs * evals) @ evecs.T
-            scale = np.sqrt(np.diag(rho))
-            rho = rho / np.outer(scale, scale)
-            rho = 0.5 * (rho + rho.T)
-            np.fill_diagonal(rho, 1.0)
-        return GaussianCopula(rho)
+        return _gaussian_of_scores(_normal_scores(pseudo.values))
     if pseudo.n_channels < 2:
         raise FamilyDomainError(
             f"{family} models dependence between channels and needs at least 2, got {pseudo.n_channels}"

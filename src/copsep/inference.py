@@ -26,11 +26,12 @@ from .copulas import (
     GaussianCopula,
     ProductCopula,
     _fit_archimedean,
+    _fit_gaussian,
     _mean_tau,
     _spearman,
     _theta_from_tau,
     copula_entropy,
-    fit_copula,
+    fit_copula,  # unused here; perfbench/tracer.py wraps inference.fit_copula
     kendall_tau,  # unused here; perfbench/tracer.py wraps inference.kendall_tau
     normal_scores_correlation,
 )
@@ -225,10 +226,14 @@ def _fit_block(ranks: np.ndarray, block, menu, orient: bool = True) -> _BlockFit
     Spearman rho matrix gives every pattern s its tau (``_mean_tau``), as
     s turns entry (i, j) into s_i s_j rho_ij exactly: ranks are
     half-integers. Product and gaussian do not depend on the pattern, so
-    they are fitted and scored once, under the pattern without flips;
-    clayton and gumbel are fitted for each pattern whose tau is > 0 (both
-    model positive dependence only), each scored by the mean log density
-    its own theta search ends on (``_fit_archimedean``). ``orient=False``
+    they are fitted and scored once, under the pattern without flips, the
+    gaussian's correlation and density from one array of normal scores
+    (``_fit_gaussian``); clayton and gumbel are fitted for each pattern
+    whose tau is > 0 (both model positive dependence only), each scored by
+    the mean log density its own theta search ends on
+    (``_fit_archimedean``), and both searches of a pattern share one
+    log u. A pattern's tau is taken before its ranks are oriented, so a
+    pattern that fits nothing builds no arrays. ``orient=False``
     scores the pattern without flips only. Every menu needs at least 100
     samples.
     """
@@ -247,21 +252,26 @@ def _fit_block(ranks: np.ndarray, block, menu, orient: bool = True) -> _BlockFit
         # the arrays of the best candidate so far, not of every pattern
         for idx, pattern in enumerate(patterns):
             sign = np.where(pattern, -1.0, 1.0)
+            tau = _mean_tau(sign[row] * sign[col] * upper)
+            if idx > 0 and tau <= 0.0:
+                continue
             oriented = np.where(np.array(pattern)[:, None], mirrored, ranks)
             values = oriented / (t + 1)
             if idx == 0:
-                pseudo = PseudoObservations(values)
                 for pos, family in enumerate(menu):
-                    if family not in _THETA_FAMILIES:
-                        model = fit_copula(pseudo, family)
-                        score = float(np.mean(model.log_density(pseudo.values)))
-                        score -= _bic_penalty(_parameter_count(model), t)
-                        yield (score, 0, 0, -pos), model, sign, oriented
-            tau = _mean_tau(sign[row] * sign[col] * upper)
-            if tau > 0.0:
+                    if family == "product":
+                        model, mean_log_density = ProductCopula(d), 0.0
+                    elif family == "gaussian":
+                        model, mean_log_density = _fit_gaussian(values)
+                    else:
+                        continue
+                    score = mean_log_density - _bic_penalty(_parameter_count(model), t)
+                    yield (score, 0, 0, -pos), model, sign, oriented
+            if tau > 0.0 and asymmetric:
+                log_u = np.log(values)
                 for pos, family in asymmetric:
                     try:
-                        model, mean_log_density = _fit_archimedean(values, family, tau)
+                        model, mean_log_density = _fit_archimedean(values, family, tau, log_u)
                     except FamilyDomainError:
                         continue
                     yield (mean_log_density - penalty, -sum(pattern), -idx, -pos), model, sign, oriented

@@ -147,7 +147,7 @@ class TestCsvChunks:
         path = tmp_path_factory.mktemp("csv") / "x.csv"
         with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
             write_signal_csv(SignalMatrix(values), path, header=header)
-            back = read_signal_csv(path).values
+        back = read_signal_csv(path).values
         assert path.read_bytes() == per_cell_csv(values, header)
         assert back.shape == values.shape
         assert back.tobytes() == values.tobytes()  # bit-exact, -0.0 included
@@ -436,19 +436,19 @@ class TestCsvStructure:
     def values(self):
         return np.random.default_rng(21).laplace(size=(3, 12))
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 5])
     @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("bad", [None, "1,oops,3", "1,2", "1,+2,3"])
-    def test_layouts_over_three_chunks(self, tmp_path, values, chunk_rows, layout, bad):
+    @pytest.mark.parametrize("bad, position", [(None, None)] + [
+        (bad, position) for bad in ("1,oops,3", "1,2", "1,+2,3") for position in (1, 6, 11)  # second, middle, last
+    ])
+    def test_layouts(self, tmp_path, values, layout, bad, position):
         rows = [",".join("%.17g" % v for v in row) for row in values.T]
         if bad:
-            rows[2 * chunk_rows] = bad  # in the third chunk
+            rows[position] = bad
         path = tmp_path / "x.csv"
         path.write_bytes(LAYOUTS[layout]("".join(row + "\n" for row in rows)).encode())
-        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
-            assert outcome(read_signal_csv, path) == outcome(reference_read, path)
+        assert outcome(read_signal_csv, path) == outcome(reference_read, path)
         # the head read counts channels by the reader's first-record rule; a
-        # bad row in the third chunk is past its head
+        # bad row after the first data row is past its head
         assert cli._read_width(path) == len(reference_read(path) if bad is None else values)
 
     @pytest.mark.parametrize("bad, message", [

@@ -612,13 +612,38 @@ class TestFitCopula:
 
     @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
     def test_theta_search_evaluation_budget(self, monkeypatch, cls):
-        # a bounded Brent search with two edge checks, not a golden section of ~35 steps
+        # a bounded Brent search with two edge checks, not a golden section of
+        # ~35 steps; each step and edge check evaluates the search's objective
         u = cls(2.0, 2).sample(5000, seed=11)
         calls = []
-        evaluate = cls._log_density_at
-        monkeypatch.setattr(cls, "_log_density_at", classmethod(lambda c, th, terms: calls.append(1) or evaluate(th, terms)))
+        evaluate = cls._mean_log_density_at
+        monkeypatch.setattr(cls, "_mean_log_density_at", staticmethod(lambda th, terms: calls.append(1) or evaluate(th, terms)))
         fit_copula(u, cls(2.0, 2).family)
         assert 0 < len(calls) <= 20
+
+    @pytest.mark.parametrize("cls, d", [(ClaytonCopula, 2), (ClaytonCopula, 3), (GumbelCopula, 2)])
+    def test_step_objective_is_the_mean_log_density(self, cls, d):
+        # each search step evaluates the mean log density from the theta-free
+        # step terms; on pseudo-observations it equals the mean of the full
+        # log density at every theta the search can reach: near the floor, at
+        # the true theta, far above it and on the outermost widened edges of
+        # the bracket around theta0 = 2. Near the floor the mean is O(theta -
+        # floor) while its terms are O(1), and the full density itself is
+        # then only good to about 1e-15 absolute (about 5e-12 relative to a
+        # 50-digit evaluation at clayton theta = 1e-3), hence the absolute floor
+        values = _average_ranks(cls(2.0, d).sample(5000, seed=11).values) / 5001
+        log_u = np.log(values)
+        log_x = np.log(-log_u)
+        step_terms = cls._step_terms(log_u, log_x)
+        terms = cls._terms_of_logs(log_u, log_x)
+        theta0 = 2.0
+        floor = cls._theta_floor
+        thetas = [floor + 1e-3, 0.5, 2.0, 20.0, max(floor, theta0 / 4.0 ** 5), theta0 * 4.0 ** 5]
+        for theta in [th for th in thetas if th >= floor]:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                step = cls._mean_log_density_at(theta, step_terms)
+                full = float(np.mean(cls._log_density_at(theta, terms)))
+            assert step == pytest.approx(full, rel=1e-12, abs=1e-14), theta
 
     @pytest.mark.parametrize("family, d, tau", [
         ("clayton", 2, 0.5),

@@ -1063,8 +1063,8 @@ def _with_reference_scores(monkeypatch, run):
     native = run()
     search = inference._fit_archimedean
 
-    def rescored(values, family, tau):
-        model, _ = search(values, family, tau)
+    def rescored(values, family, tau, log_u=None):
+        model, _ = search(values, family, tau, log_u)
         return model, float(np.mean(model.log_density(values)))
 
     with monkeypatch.context() as m:
@@ -1119,8 +1119,8 @@ class TestBlockFitReusesItsWork:
         optima = []
         search = inference._fit_archimedean
 
-        def recorded(values, family, tau):
-            model, mean_log_density = search(values, family, tau)
+        def recorded(values, family, tau, log_u=None):
+            model, mean_log_density = search(values, family, tau, log_u)
             optima.append((model.family, model.theta))
             return model, mean_log_density
 
@@ -1143,10 +1143,10 @@ class TestBlockFitReusesItsWork:
         searched = []
         search = inference._fit_archimedean
 
-        def recorded(values, family, tau):
+        def recorded(values, family, tau, log_u=None):
             rho = _spearman(_average_ranks(values))
             searched.append((values.shape[0], tau, _mean_tau(rho[np.triu_indices(len(rho), 1)])))
-            return search(values, family, tau)
+            return search(values, family, tau, log_u)
 
         monkeypatch.setattr(inference, "_fit_archimedean", recorded)
         fit_dependence(block_sources(1, 5000))
