@@ -438,7 +438,9 @@ class TestCsvStructure:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("bad, position", [(None, None)] + [
-        (bad, position) for bad in ("1,oops,3", "1,2", "1,+2,3") for position in (1, 6, 11)  # second, middle, last
+        (bad, position)
+        for bad in ("1,oops,3", "1,2", "1,2,3,4", "1,,3", "1,+2,3")  # a bad cell, short and wide rows, an empty cell
+        for position in (1, 6, 11)  # second, middle, last
     ])
     def test_layouts(self, tmp_path, values, layout, bad, position):
         rows = [",".join("%.17g" % v for v in row) for row in values.T]
