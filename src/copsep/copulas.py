@@ -170,6 +170,9 @@ class ClaytonCopula(Copula):
     """Clayton copula, positive dependence, any dimension >= 2.
 
     C(u) = (sum u_i^{-theta} - d + 1)^{-1/theta} with theta > 0.
+    The cdf, the log density and the theta search's mean log density
+    build their one theta-dependent row with one kernel, ``_row``, from
+    the theta-free terms of ``_terms``, so no power overflows at any theta.
     """
 
     theta: float
@@ -188,95 +191,71 @@ class ClaytonCopula(Copula):
     def family(self) -> str:
         return "clayton"
 
-    @staticmethod
-    def _log_powsum(th, log_u):
-        """log(sum u_i^{-theta} - (d - 1)) from log_u (d x ...), without
-        overflow for extreme theta, in place on its own temporaries."""
-        a = -th * log_u
-        m = a.max(axis=0)
-        a -= m
-        np.exp(a, out=a)
-        s = a.sum(axis=0)
-        constant = np.negative(m, out=a[0])
-        np.exp(constant, out=constant)
-        constant *= log_u.shape[0] - 1
-        s -= constant
-        np.log(s, out=s)
-        s += m
-        return s
-
     def _cdf(self, pts):
-        return np.exp(-self._log_powsum(self.theta, np.log(pts)) / self.theta)
-
-    @classmethod
-    def _log_terms(cls, pts):
-        return cls._terms_of_logs(np.log(pts), None)
+        lo, gaps, _ = self._terms(np.log(pts), None)
+        return np.exp(lo - self._row(self.theta, lo, gaps) / self.theta)
 
     @staticmethod
-    def _terms_of_logs(log_u, log_x):
-        """The theta-free terms of the log density: log u (d x ...) and its
-        sum over the channels; ``log_x`` = log(-log u) is not needed."""
-        return log_u, log_u.sum(axis=0)
-
-    @classmethod
-    def _log_density_at(cls, th, terms):
-        """Log density at theta ``th`` from the terms of
-        :meth:`_terms_of_logs`,
-        sum_{k < d} log(1 + k theta) - (theta + 1) sum log u_i
-        - (1 / theta + d) log(sum u_i^{-theta} - d + 1):
-        th is a float, or a column with one theta per row of the channels'
-        term arrays. It works in place on its own temporaries and leaves
-        ``terms`` unchanged."""
-        log_u, log_u_sum = terms
-        d = log_u.shape[0]
-        # log prod_{k < d} (1 + k theta), one per theta
-        lead = np.log1p(th * np.arange(1, d)).sum(axis=-1, keepdims=True)
-        out = (th + 1.0) * log_u_sum
-        np.subtract(lead, out, out=out)
-        powsum = cls._log_powsum(th, log_u)
-        powsum *= 1.0 / th + d
-        out -= powsum
-        return out
-
-    def _log_density(self, pts):
-        return self._log_density_at(self.theta, self._log_terms(pts))
-
-    @staticmethod
-    def _step_terms(log_u, log_x):
-        """The theta-free terms of the mean log density for a theta search
-        (``_mean_log_density_at``), from log u (d x T): per sample the
-        least log u, lo, and the gaps g_i = log u_i - lo >= 0 (for d = 2
-        only |log u_0 - log u_1|, the least channel's gap 0 left out); the
-        means of sum log u and of lo; and two work arrays."""
-        d = len(log_u)
+    def _terms(log_u, log_x):
+        """The theta-free terms of the log density per sample, from log u
+        (d x ...): the least log u, lo; the gaps g_i = log u_i - lo >= 0
+        (for d = 2 only |log u_0 - log u_1|, the least channel's gap 0 left
+        out); and sum log u. ``log_x`` = log(-log u) is not needed."""
         lo = log_u.min(axis=0)
-        gaps = np.abs(log_u[:1] - log_u[1:]) if d == 2 else log_u - lo
-        return d, gaps, lo, log_u.sum(axis=0).mean(), lo.mean(), np.empty_like(gaps), np.empty_like(lo)
+        gaps = np.abs(log_u[:1] - log_u[1:]) if len(log_u) == 2 else log_u - lo
+        return lo, gaps, log_u.sum(axis=0)
 
     @staticmethod
-    def _mean_log_density_at(th, terms):
-        """Mean log density at the float theta ``th`` from the terms of
-        :meth:`_step_terms`, with sum u_i^{-theta} - (d - 1) written as
-        e^{-theta lo} (sum e^{-theta g_i} - (d - 1) e^{theta lo}): every
-        exponent is <= 0, and each step builds only the row of T values
-        log(sum e^{-theta g_i} - (d - 1) e^{theta lo}), by log1p for d = 2,
-        whose term e^0 = 1 is left out. Equal to
-        np.mean(_log_density_at(th, ...)) up to rounding."""
-        d, gaps, lo, mean_log_u_sum, mean_lo, work, row = terms
-        t = len(row)
-        np.multiply(lo, th, out=row)
+    def _row(th, lo, gaps):
+        """The one theta-dependent row, R = log(sum e^{-theta g_i}
+        - (d - 1) e^{theta lo}), by log1p for d = 2, whose term e^0 = 1 is
+        left out: log(sum u_i^{-theta} - d + 1) = R - theta lo, and every
+        exponent is <= 0, so nothing overflows at any theta."""
+        d = max(len(gaps), 2)
+        row = np.multiply(lo, th)
         np.exp(row, out=row)
         row *= 1 - d
-        np.multiply(gaps, -th, out=work)
+        work = np.multiply(gaps, -th)
         np.exp(work, out=work)
         for term in work:
             row += term
-        if len(gaps) < d:
-            np.log1p(row, out=row)
-        else:
-            np.log(row, out=row)
+        return np.log1p(row, out=row) if len(gaps) < d else np.log(row, out=row)
+
+    @classmethod
+    def _log_density_at(cls, th, terms):
+        """Log density at theta ``th`` from the terms of :meth:`_terms`,
+        sum_{k < d} log(1 + k theta) - (theta + 1) sum log u_i
+        - (1 / theta + d)(R - theta lo), with R from :meth:`_row`: th is a
+        float, or a column with one theta per row of the term arrays.
+        ``terms`` is left unchanged."""
+        lo, gaps, log_u_sum = terms
+        d = max(len(gaps), 2)
+        # log prod_{k < d} (1 + k theta), one per theta
+        lead = np.log1p(th * np.arange(1, d)).sum(axis=-1, keepdims=True)
+        log_powsum = cls._row(th, lo, gaps)
+        log_powsum -= th * lo
+        log_powsum *= 1.0 / th + d
+        out = (th + 1.0) * log_u_sum
+        np.subtract(lead, out, out=out)
+        out -= log_powsum
+        return out
+
+    def _log_density(self, pts):
+        return self._log_density_at(self.theta, self._terms(np.log(pts), None))
+
+    @classmethod
+    def _mean_log_density_at(cls, th, terms, means):
+        """Mean log density at the float theta ``th`` from the terms of
+        :meth:`_terms` and their sample means ``means``: the sum of
+        :meth:`_log_density_at` with each theta-free term replaced by its
+        mean, so a theta search averages only the row R per step."""
+        lo, gaps, _ = terms
+        mean_lo, _, mean_log_u_sum = means
+        d = max(len(gaps), 2)
         lead = sum(math.log1p(th * k) for k in range(1, d))
-        return lead - (th + 1.0) * mean_log_u_sum - (1.0 / th + d) * (row.sum() / t - th * mean_lo)
+        # sum / T is np.mean's arithmetic without its call overhead
+        mean_row = cls._row(th, lo, gaps).sum() / len(lo)
+        return lead - (th + 1.0) * mean_log_u_sum - (1.0 / th + d) * (mean_row - th * mean_lo)
 
     def _sample(self, n, rng):
         # gamma-frailty construction: u_i = (1 + e_i / v)^{-1/theta}
@@ -318,8 +297,9 @@ class GumbelCopula(Copula):
     """Bivariate Gumbel copula, theta >= 1.
 
     C(u,v) = exp(-((-ln u)^theta + (-ln v)^theta)^{1/theta}).
-    The cdf and the log density take the log of the inner sum from one
-    kernel, ``_log_powsum``, in log space, so no power overflows at large theta.
+    The cdf, the log density and the theta search's mean log density
+    build their theta-dependent rows with one kernel, ``_rows``, from the
+    theta-free terms of ``_terms``, so no power overflows at any theta.
     ``dim`` accepts only 2; it lets gumbel be built like clayton, ``(theta, dim)``.
     Sampled by Marshall-Olkin with a positive-stable frailty of index 1/theta.
     """
@@ -340,101 +320,74 @@ class GumbelCopula(Copula):
     def family(self) -> str:
         return "gumbel"
 
-    @staticmethod
-    def _log_powsum(th, log_x):
-        """log((-ln u)^theta + (-ln v)^theta) from log_x = log(-ln u) per
-        channel, as m + log1p(exp(-|a - b|)) with a, b = theta * log_x and
-        m = max(a, b), in place on its own temporaries: numpy vectorizes
-        each of these calls, while np.logaddexp runs a scalar loop, about
-        4x slower."""
-        a = th * log_x[0]
-        b = th * log_x[1]
-        m = np.maximum(a, b)
-        a -= b
-        np.abs(a, out=a)
-        np.negative(a, out=a)
-        np.exp(a, out=a)
-        np.log1p(a, out=a)
-        a += m
-        return a
-
     def _cdf(self, pts):
-        return np.exp(-np.exp(self._log_powsum(self.theta, np.log(-np.log(pts))) / self.theta))
-
-    @classmethod
-    def _log_terms(cls, pts):
         log_u = np.log(pts)
-        return cls._terms_of_logs(log_u, np.log(-log_u))
+        gap, x_hi, *_ = self._terms(log_u, np.log(-log_u))
+        return np.exp(-self._rows(self.theta, gap, x_hi)[1])
 
     @staticmethod
-    def _terms_of_logs(log_u, log_x):
-        """The theta-free terms of the log density: log_x = log(-log u) per
-        channel, its sum over the channels, and the sum of log u."""
-        return log_x, log_x[0] + log_x[1], log_u.sum(axis=0)
+    def _terms(log_u, log_x):
+        """The theta-free terms of the log density per sample, from log u
+        and log x = log(-log u) (2 x ...): |log x_0 - log x_1|,
+        max(x_0, x_1), max(log x_0, log x_1), sum log x and sum log u."""
+        gap = np.abs(log_x[0] - log_x[1])
+        x_hi = -np.minimum(log_u[0], log_u[1])
+        return gap, x_hi, np.maximum(log_x[0], log_x[1]), log_x[0] + log_x[1], log_u[0] + log_u[1]
+
+    @staticmethod
+    def _rows(th, gap, x_hi):
+        """The theta-dependent rows l = log1p(e^{-theta gap}) and
+        s^(1/theta) = max(x_i) e^{l / theta}, where s = sum x_i^theta and
+        log s = theta max(log x_i) + l: e^{l / theta} is at most
+        2^(1/theta) <= 2, so nothing overflows at any theta."""
+        l = np.multiply(gap, -th)
+        np.exp(l, out=l)
+        np.log1p(l, out=l)
+        s_root = l / th
+        np.exp(s_root, out=s_root)
+        s_root *= x_hi
+        return l, s_root
 
     @classmethod
     def _log_density_at(cls, th, terms):
-        """Log density at theta ``th`` from the terms of
-        :meth:`_terms_of_logs`, with x_i = -log u_i and s = sum x_i^theta,
-        -s^(1/theta) + (theta - 1) sum log x_i + (1 / theta - 2) log s
+        """Log density at theta ``th`` from the terms of :meth:`_terms`,
+        with l and s^(1/theta) from :meth:`_rows`,
+        (1 / theta - 2) log s - s^(1/theta) + (theta - 1) sum log x_i
         + log(s^(1/theta) + theta - 1) - sum log u_i:
         as for clayton, th is a float or a column of thetas, and ``terms``
         is left unchanged."""
-        log_x, log_x_sum, log_u_sum = terms
-        log_s = cls._log_powsum(th, log_x)
-        s_root = log_s / th
-        np.exp(s_root, out=s_root)
-        # (th - 1) log_x_sum - s_root is -s_root + (th - 1) log_x_sum, bit for bit
-        out = (th - 1.0) * log_x_sum
+        gap, x_hi, hi, log_x_sum, log_u_sum = terms
+        l, s_root = cls._rows(th, gap, x_hi)
+        # log s = theta max(log x_i) + l
+        out = th * hi
+        out += l
+        out *= 1.0 / th - 2.0
         out -= s_root
-        log_s *= 1.0 / th - 2.0
-        out += log_s
-        s_root += th
-        s_root -= 1.0
+        out += (th - 1.0) * log_x_sum
+        s_root += th - 1.0
         out += np.log(s_root, out=s_root)
         out -= log_u_sum
         return out
 
     def _log_density(self, pts):
-        return self._log_density_at(self.theta, self._log_terms(pts))
+        log_u = np.log(pts)
+        return self._log_density_at(self.theta, self._terms(log_u, np.log(-log_u)))
 
-    @staticmethod
-    def _step_terms(log_u, log_x):
-        """The theta-free terms of the mean log density for a theta search
-        (``_mean_log_density_at``), from log u and log x = log(-log u)
-        (2 x T): per sample |log x_0 - log x_1| and max(x_0, x_1); the
-        means of max(log x_0, log x_1), of sum log x and of sum log u; a
-        work array."""
-        gap = np.abs(log_x[0] - log_x[1])
-        x_hi = np.negative(log_u.min(axis=0))
-        hi = np.maximum(log_x[0], log_x[1])
-        mean_log_x_sum = (log_x[0] + log_x[1]).mean()
-        return gap, x_hi, hi.mean(), mean_log_x_sum, log_u.sum(axis=0).mean(), np.empty_like(gap)
-
-    @staticmethod
-    def _mean_log_density_at(th, terms):
-        """Mean log density at the float theta ``th`` from the terms of
-        :meth:`_step_terms`: with l = log1p(e^{-theta |gap|}), log s is
-        theta max(log x_i) + l and s^(1/theta) is max(x_i) e^{l / theta},
-        so each step builds only the rows l, s^(1/theta) and
-        log(s^(1/theta) + theta - 1) of T values; e^{l / theta} is at most
-        2^(1/theta) <= 2, so nothing overflows. Equal to
-        np.mean(_log_density_at(th, ...)) up to rounding."""
-        gap, x_hi, mean_hi, mean_log_x_sum, mean_log_u_sum, row = terms
-        t = len(row)
-        np.multiply(gap, -th, out=row)
-        np.exp(row, out=row)
-        np.log1p(row, out=row)
-        mean_log_s = th * mean_hi + row.sum() / t
-        row /= th
-        np.exp(row, out=row)
-        row *= x_hi
-        mean_s_root = row.sum() / t
-        row += th - 1.0
-        np.log(row, out=row)
+    @classmethod
+    def _mean_log_density_at(cls, th, terms, means):
+        """Mean log density at the float theta ``th``, as for clayton: the
+        sum of :meth:`_log_density_at` with each theta-free term replaced
+        by its mean, so a step averages only the rows."""
+        gap, x_hi = terms[:2]
+        mean_hi, mean_log_x_sum, mean_log_u_sum = means[2:]
+        t = len(gap)
+        l, s_root = cls._rows(th, gap, x_hi)
+        mean_s_root = s_root.sum() / t
+        s_root += th - 1.0
+        np.log(s_root, out=s_root)
         return (
-            (th - 1.0) * mean_log_x_sum - mean_s_root + (1.0 / th - 2.0) * mean_log_s
-            + row.sum() / t - mean_log_u_sum
+            (th - 1.0) * mean_log_x_sum - mean_s_root + (1.0 / th - 2.0) * (th * mean_hi + l.sum() / t)
+            + s_root.sum() / t - mean_log_u_sum
         )
 
     def _sample(self, n, rng):
@@ -697,13 +650,13 @@ def _fit_archimedean(values: np.ndarray, family: str, tau: float, log_u: np.ndar
     edge that is not the domain bound (gumbel's theta = 1) and scores no
     worse than the search's optimum widens that side fourfold, lo first,
     and the search runs again, at most _BRACKET_WIDENINGS times. The
-    family's theta-free terms (``_step_terms``) are computed once; each
-    Brent step and edge test passes its theta and those terms to the
-    family's ``_mean_log_density_at``, which builds only the
-    theta-dependent rows and averages them; no copula is built until the
-    search ends. The mean log density returned is evaluated once, at the
-    optimum, by the family's ``_log_density_at``: bit for bit
-    np.mean(model.log_density(values)).
+    family's theta-free terms (``_terms``) and their sample means are
+    computed once; each Brent step and edge test passes its theta, the
+    terms and the means to the family's ``_mean_log_density_at``, which
+    builds only the theta-dependent rows and averages them; no copula is
+    built until the search ends. The mean log density returned is
+    evaluated once, at the optimum, from the same terms by the family's
+    ``_log_density_at``: bit for bit np.mean(model.log_density(values)).
 
     Returns
     -------
@@ -724,10 +677,11 @@ def _fit_archimedean(values: np.ndarray, family: str, tau: float, log_u: np.ndar
     if log_u is None:
         log_u = np.log(values)
     log_x = np.log(-log_u) if family == "gumbel" else None
-    step_terms = cls._step_terms(log_u, log_x)
+    terms = cls._terms(log_u, log_x)
+    means = tuple(term.mean(axis=-1) for term in terms)
 
     def loss(th):
-        return -float(cls._mean_log_density_at(th, step_terms))
+        return -float(cls._mean_log_density_at(th, terms, means))
 
     lo, hi = max(floor, theta0 / 4.0), 4.0 * theta0
     for _ in range(_BRACKET_WIDENINGS + 1):
@@ -738,8 +692,7 @@ def _fit_archimedean(values: np.ndarray, family: str, tau: float, log_u: np.ndar
             hi *= 4.0
         else:
             model = cls(fit.x, d)
-            log_density = cls._log_density_at(model.theta, cls._terms_of_logs(log_u, log_x))
-            return model, float(np.mean(log_density))
+            return model, float(np.mean(cls._log_density_at(model.theta, terms)))
     raise FamilyDomainError(
         f"{family} likelihood still rises at the bracket edge theta = {fit.x:.6g} "
         f"after {_BRACKET_WIDENINGS} widenings"

@@ -498,7 +498,7 @@ def _grid_scores(sub: np.ndarray, families):
         for lo in range(0, len(first), _GRID_BATCH):
             batch = slice(lo, lo + _GRID_BATCH)
             rows = np.stack([first[batch], second[batch]])
-            terms = cls._terms_of_logs(log_u[rows], log_x[rows])
+            terms = cls._terms(log_u[rows], log_x[rows])
             mean[batch] = cls._log_density_at(theta[batch], terms).mean(axis=1)
         scores.append(base + mean)
     return tau, first, gap, scores

@@ -1,3 +1,4 @@
+import decimal
 import warnings
 
 import numpy as np
@@ -219,77 +220,127 @@ class TestDensity:
             ClaytonCopula(1.0, 2).density([0.5, 0.5, 0.5])
 
 
-def logaddexp_gumbel_log_density(theta, pts):
-    """Reference: the Gumbel log density with the log of the inner sum
-    taken by np.logaddexp."""
-    log_u = np.log(pts)
-    log_x = np.log(-log_u)
-    log_s = np.logaddexp(theta * log_x[0], theta * log_x[1])
-    s_root = np.exp(log_s / theta)
-    return (
-        -s_root
-        + (theta - 1.0) * (log_x[0] + log_x[1])
-        + (1.0 / theta - 2.0) * log_s
-        + np.log(s_root + theta - 1.0)
-        - log_u.sum(axis=0)
+def _clayton_truth(theta, col):
+    """The Clayton log density and cdf at one point, in decimal arithmetic."""
+    d = len(col)
+    log_u = [u.ln() for u in col]
+    log_powsum = (sum((-theta * lu).exp() for lu in log_u) - d + 1).ln()
+    lead = sum((1 + k * theta).ln() for k in range(1, d))
+    return lead - (theta + 1) * sum(log_u) - (1 / theta + d) * log_powsum, (-log_powsum / theta).exp()
+
+
+def _gumbel_truth(theta, col):
+    """The Gumbel log density and cdf at one point, in decimal arithmetic."""
+    log_u = [u.ln() for u in col]
+    log_x = [(-lu).ln() for lu in log_u]
+    log_s = sum((theta * lx).exp() for lx in log_x).ln()
+    s_root = (log_s / theta).exp()
+    log_density = (
+        -s_root + (theta - 1) * sum(log_x) + (1 / theta - 2) * log_s + (s_root + theta - 1).ln() - sum(log_u)
     )
+    return log_density, (-s_root).exp()
 
 
-def logaddexp_gumbel_cdf(theta, pts):
-    log_x = np.log(-np.log(pts))
-    return np.exp(-np.exp(np.logaddexp(theta * log_x[0], theta * log_x[1]) / theta))
+def high_precision_reference(cls, theta, pts):
+    """Reference: the closed-form log density and cdf at each point (the
+    columns of pts), evaluated with 50 significant digits (stdlib decimal,
+    whose exponent range holds every power of these points), then rounded
+    to floats."""
+    truth = _clayton_truth if cls is ClaytonCopula else _gumbel_truth
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 50, 10 ** 9, -10 ** 9
+        values = [truth(decimal.Decimal(theta), [decimal.Decimal(u) for u in col]) for col in pts.T.tolist()]
+    return np.array(values, dtype=float).T
 
 
-class TestGumbelLogSum:
-    # the clip bounds, points near them, and equal coordinates (a == b)
-    EDGES = np.array([_U_LO, 1e-10, 0.3, 0.5, 1.0 - 1e-10, _U_HI])
+# the clip bounds and points near them
+EDGES = np.array([_U_LO, 1e-10, 0.3, 0.5, 1.0 - 1e-10, _U_HI])
 
-    def points(self):
-        uu, vv = np.meshgrid(self.EDGES, self.EDGES)
-        random = np.random.default_rng(0).uniform(size=(2, 500))
-        pts = np.hstack([np.vstack([uu.ravel(), vv.ravel()]), random])
-        return np.hstack([pts, np.vstack([pts[0], pts[0]])])
 
-    @pytest.mark.parametrize("theta", [1.0, 1.0 + 1e-9, 2.0, 50.0, 1e4])
-    def test_matches_logaddexp_reference(self, theta):
-        pts = self.points()
-        model = GumbelCopula(theta)
+class TestHighPrecisionReference:
+    # the kernels against 50-digit evaluations of the closed forms, at
+    # every point of the edge grid, random points and equal coordinates.
+    # Sums of O(|log u|) terms cancel, so the log density is held to a
+    # bound relative to max(|value|, 1), ten times wider at theta = 1e4,
+    # where the terms are about theta |log x|. A kernel that takes s^(1/theta)
+    # as exp(log s / theta) fails these bounds: at gumbel theta = 1 and
+    # u = v = 1 - 2^-53 its log density is off by 1.1e-6, and its cdf by
+    # up to 9e-13 relative at theta = 50. Clayton just above theta = 0 is
+    # limited by the cancellation in u^-theta - 1, about 1e-7 relative at
+    # theta = 1e-9, hence its own bound.
+    CASES = [
+        (ClaytonCopula, 2, 1e-9, 1e-6, 1e-6),
+        (ClaytonCopula, 3, 1e-9, 1e-6, 1e-6),
+        *[(ClaytonCopula, d, theta, 1e-11 if theta > 100.0 else 1e-12, 5e-13)
+          for d in (2, 3) for theta in (1e-3, 2.0, 50.0, 1e4)],
+        *[(GumbelCopula, 2, theta, 1e-11 if theta > 100.0 else 1e-12, 3e-13)
+          for theta in (1.0, 1.0 + 1e-9, 2.0, 50.0, 1e4)],
+    ]
+
+    @staticmethod
+    def points(d):
+        grid = np.stack([g.ravel() for g in np.meshgrid(*[EDGES] * d)])
+        pts = np.hstack([grid, np.random.default_rng(d).uniform(size=(d, 40))])
+        return np.hstack([pts, np.tile(pts[0], (d, 1))])
+
+    @pytest.mark.parametrize(
+        "cls, d, theta, log_density_tol, cdf_rtol", CASES, ids=lambda v: getattr(v, "__name__", repr(v))
+    )
+    def test_matches_high_precision_reference(self, cls, d, theta, log_density_tol, cdf_rtol):
+        pts = self.points(d)
+        model = cls(theta, d)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             log_density, cdf = model.log_density(pts), model.cdf(pts)
-        # at theta = 1 the log density is a sum of order-one terms that
-        # cancel to 0, so relative agreement needs an absolute floor there
-        assert_allclose(log_density, logaddexp_gumbel_log_density(theta, pts), rtol=1e-13, atol=1e-13)
-        assert_allclose(cdf, logaddexp_gumbel_cdf(theta, pts), rtol=1e-13, atol=0.0)
+        true_log_density, true_cdf = high_precision_reference(cls, theta, pts)
+        assert_allclose(log_density, true_log_density, rtol=log_density_tol, atol=log_density_tol)
+        # a cdf in the subnormal range keeps only its absolute rounding
+        assert_allclose(cdf, true_cdf, rtol=cdf_rtol, atol=1e-320)
 
+
+class TestGumbelLogSum:
     def test_equal_coordinates_add_log_two(self):
-        log_x = np.log(-np.log(self.EDGES))
-        assert np.array_equal(GumbelCopula._log_powsum(3.0, np.vstack([log_x, log_x])), 3.0 * log_x + np.log(2.0))
+        # at equal coordinates the gap is 0, so the row log1p(e^{-theta gap})
+        # is exactly log 2, and s^(1/theta) = x e^{log 2 / theta}
+        log_u = np.log(np.vstack([EDGES, EDGES]))
+        gap, x_hi, *_ = GumbelCopula._terms(log_u, np.log(-log_u))
+        l, s_root = GumbelCopula._rows(3.0, gap, x_hi)
+        assert not gap.any()
+        assert np.array_equal(l, np.full(len(EDGES), np.log(2.0)))
+        assert np.array_equal(s_root, np.exp(np.log(2.0) / 3.0) * -log_u[0])
 
 
 def clayton_log_density_reference(theta, pts):
     """Reference: the Clayton log density in closed form, each term a
-    fresh array, in the order the in-place kernel keeps."""
+    fresh array, in the order the in-place kernel keeps: with lo the least
+    log u and R = log(sum e^{-theta (log u_i - lo)} - (d - 1) e^{theta lo})
+    (by log1p for d = 2, the term e^0 left out), the log density is
+    sum_{k < d} log(1 + k theta) - (theta + 1) sum log u_i
+    - (1 / theta + d)(R - theta lo)."""
     d = pts.shape[0]
     log_u = np.log(pts)
-    a = -theta * log_u
-    m = a.max(axis=0)
-    log_powsum = m + np.log(np.exp(a - m).sum(axis=0) - (d - 1) * np.exp(-m))
-    return np.log1p(theta * np.arange(1, d)).sum() - (theta + 1.0) * log_u.sum(axis=0) - (1.0 / theta + d) * log_powsum
+    lo = log_u.min(axis=0)
+    if d == 2:
+        row = np.log1p((1 - d) * np.exp(theta * lo) + np.exp(-theta * np.abs(log_u[0] - log_u[1])))
+    else:
+        row = np.log(sum(np.exp(-theta * (log_u - lo)), start=(1 - d) * np.exp(theta * lo)))
+    lead = np.log1p(theta * np.arange(1, d)).sum()
+    return lead - (theta + 1.0) * log_u.sum(axis=0) - (1.0 / theta + d) * (row - theta * lo)
 
 
 def gumbel_log_density_reference(theta, pts):
-    """Reference: the Gumbel log density in closed form, as for clayton."""
+    """Reference: the Gumbel log density in closed form, as for clayton:
+    with x = -log u, l = log1p(e^{-theta |log x_0 - log x_1|}), log s =
+    theta max(log x_i) + l and s^(1/theta) = max(x_i) e^{l / theta}."""
     log_u = np.log(pts)
     log_x = np.log(-log_u)
-    a, b = theta * log_x[0], theta * log_x[1]
-    log_s = np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
-    s_root = np.exp(log_s / theta)
+    l = np.log1p(np.exp(-theta * np.abs(log_x[0] - log_x[1])))
+    s_root = np.exp(l / theta) * -log_u.min(axis=0)
     return (
-        -s_root
+        (1.0 / theta - 2.0) * (theta * np.maximum(log_x[0], log_x[1]) + l)
+        - s_root
         + (theta - 1.0) * (log_x[0] + log_x[1])
-        + (1.0 / theta - 2.0) * log_s
-        + np.log(s_root + theta - 1.0)
+        + np.log(s_root + (theta - 1.0))
         - log_u.sum(axis=0)
     )
 
@@ -304,16 +355,17 @@ class TestInPlaceKernels:
 
     @staticmethod
     def points(d):
-        edges = np.array([_U_LO, 1e-10, 0.3, 0.5, 1.0 - 1e-10, _U_HI])
-        grid = np.stack([g.ravel() for g in np.meshgrid(*[edges] * d)])
+        grid = np.stack([g.ravel() for g in np.meshgrid(*[EDGES] * d)])
         return np.hstack([grid, np.random.default_rng(d).uniform(size=(d, 2000))])
 
     @pytest.mark.parametrize("cls, d, theta", CASES, ids=lambda v: getattr(v, "__name__", repr(v)))
     def test_bit_identical_to_closed_form_and_terms_untouched(self, cls, d, theta):
         pts = self.points(d)
-        terms = cls._log_terms(pts)
+        log_u = np.log(pts)
+        terms = cls._terms(log_u, np.log(-log_u))
         before = [t.copy() for t in terms]
         assert np.array_equal(cls._log_density_at(theta, terms), self.REFERENCE[cls](theta, pts))
+        assert np.array_equal(cls(theta, d).log_density(pts), self.REFERENCE[cls](theta, pts))
         assert all(np.array_equal(t, b) for t, b in zip(terms, before))
 
     @pytest.mark.parametrize("cls", [ClaytonCopula, GumbelCopula])
@@ -323,7 +375,7 @@ class TestInPlaceKernels:
         log_u = np.log(u)
         rows = np.array([[0, 1, 2, 5], [3, 4, 0, 1]])
         theta = cls._theta_floor + np.array([1e-9, 0.5, 2.0, 50.0])
-        batch = cls._log_density_at(theta[:, None], cls._terms_of_logs(log_u[rows], np.log(-log_u)[rows]))
+        batch = cls._log_density_at(theta[:, None], cls._terms(log_u[rows], np.log(-log_u)[rows]))
         for row, (i, j), th in zip(batch, rows.T, theta):
             assert np.array_equal(row, cls(th, 2)._log_density(u[[i, j]]))
 
@@ -617,14 +669,18 @@ class TestFitCopula:
         u = cls(2.0, 2).sample(5000, seed=11)
         calls = []
         evaluate = cls._mean_log_density_at
-        monkeypatch.setattr(cls, "_mean_log_density_at", staticmethod(lambda th, terms: calls.append(1) or evaluate(th, terms)))
+        monkeypatch.setattr(
+            cls, "_mean_log_density_at",
+            classmethod(lambda c, th, terms, means: calls.append(1) or evaluate(th, terms, means)),
+        )
         fit_copula(u, cls(2.0, 2).family)
         assert 0 < len(calls) <= 20
 
     @pytest.mark.parametrize("cls, d", [(ClaytonCopula, 2), (ClaytonCopula, 3), (GumbelCopula, 2)])
     def test_step_objective_is_the_mean_log_density(self, cls, d):
-        # each search step evaluates the mean log density from the theta-free
-        # step terms; on pseudo-observations it equals the mean of the full
+        # each search step evaluates the mean log density from the sample
+        # means of the theta-free terms; on pseudo-observations it equals the
+        # mean of the per-sample
         # log density at every theta the search can reach: near the floor, at
         # the true theta, far above it and on the outermost widened edges of
         # the bracket around theta0 = 2. Near the floor the mean is O(theta -
@@ -634,14 +690,14 @@ class TestFitCopula:
         values = _average_ranks(cls(2.0, d).sample(5000, seed=11).values) / 5001
         log_u = np.log(values)
         log_x = np.log(-log_u)
-        step_terms = cls._step_terms(log_u, log_x)
-        terms = cls._terms_of_logs(log_u, log_x)
+        terms = cls._terms(log_u, log_x)
+        means = tuple(term.mean(axis=-1) for term in terms)
         theta0 = 2.0
         floor = cls._theta_floor
         thetas = [floor + 1e-3, 0.5, 2.0, 20.0, max(floor, theta0 / 4.0 ** 5), theta0 * 4.0 ** 5]
         for theta in [th for th in thetas if th >= floor]:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                step = cls._mean_log_density_at(theta, step_terms)
+                step = cls._mean_log_density_at(theta, terms, means)
                 full = float(np.mean(cls._log_density_at(theta, terms)))
             assert step == pytest.approx(full, rel=1e-12, abs=1e-14), theta
 

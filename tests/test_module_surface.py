@@ -46,3 +46,14 @@ def test_import_leaves_scipy_integrate_unloaded_until_the_gaussian_cdf():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     expected = copsep.GaussianCopula(rho).cdf(pts)
     assert proc.stdout.split() == ["False", "True", *[v.hex() for v in expected]]
+
+
+def test_each_theta_family_has_one_log_density_kernel():
+    # _fit_archimedean and inference._grid_scores call these by name on any
+    # clayton or gumbel class; the pointwise density and the theta search
+    # share them, so neither family keeps a second copy of its kernel
+    from copsep.copulas import _THETA_FAMILIES
+
+    for cls in _THETA_FAMILIES.values():
+        assert [name for name in ("_terms", "_log_density_at", "_mean_log_density_at") if name not in vars(cls)] == []
+        assert [name for name in ("_log_powsum", "_log_terms", "_terms_of_logs", "_step_terms") if hasattr(cls, name)] == []
