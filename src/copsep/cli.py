@@ -15,7 +15,7 @@ import math
 import sys
 from contextlib import contextmanager
 from functools import cache
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -50,10 +50,10 @@ def _parse_cell(token: str):
 
 def _parse_lines(path: str, lines, first: int, width: int) -> np.ndarray:
     """The rows ``lines``, which start at line ``first`` (0-based) of the
-    file, as a (rows, width) block: the data lines of a file whose cells
-    ``np.loadtxt`` does not all read, or the first data record that
-    ``_read_width`` checks, and the only place that raises an error in a
-    row's fields.
+    file, as a (rows, width) block: the first data record, which
+    ``_read_csv`` checks, or the data lines of a file whose cells
+    ``np.loadtxt`` does not all read; the only place that raises an error
+    in a row's fields.
 
     Every cell is read by ``float`` in one pass, so a cell that ``float``
     reads and ``np.loadtxt`` rejects (``1_0``, non-ASCII digits) gets its
@@ -83,71 +83,49 @@ def _parse_lines(path: str, lines, first: int, width: int) -> np.ndarray:
 
 # ASCII bytes other than "\n" at which str.splitlines ends a line
 _OTHER_LINE_BREAKS = b"\r\v\f\x1c\x1d\x1e"
-# bytes of the first block that _read_width reads; a later block is as long
-# as all before it
-_HEAD_BYTES = 4096
 
 
-def _first_record(path: str, lines: list, ended: bool = True):
-    """``(start, width)`` of a CSV file whose first lines are ``lines``, the
-    ``str.splitlines`` of its text after a leading UTF-8 byte order mark is
-    dropped. Line 0 is a header, and ``start`` is 1, when any of its fields
-    is not a number to ``float`` ("nan" and "inf" are numbers); ``width`` is
-    the field count of line ``start``, the first data record.
+def _read_csv(path: str):
+    """``(raw, start, width)`` of a samples-by-channels CSV: its bytes as
+    lines that each end in ``"\\n"``, the 0-based line of its first data
+    record and that record's field count. The one front end of
+    ``read_signal_csv`` and ``_read_width``.
 
-    When ``lines`` stop before that record, the file is empty or has no
-    data rows if it has ``ended``, both errors; otherwise the result is
-    None, and only more lines decide."""
-    start = 1 if lines and any(_parse_cell(tok) is None for tok in lines[0].split(",")) else 0
-    if start < len(lines):
-        return start, lines[start].count(",") + 1
-    if ended:
-        raise ValueError(f"{path}: no data rows" if lines else f"{path}: empty file")
-    return None
-
-
-def _not_utf8(path: str, raw: bytes, at: int) -> ValueError:
-    """The reader's error for the first byte of ``raw`` that is not UTF-8,
-    at offset ``at``: its value and its 1-based row."""
-    row = len((raw[:at].decode() + "x").splitlines())
-    return ValueError(f"{path}: not UTF-8 text (byte 0x{raw[at]:02x} at row {row})")
+    A leading UTF-8 byte order mark is dropped. Lines are those of
+    ``str.splitlines``: a file that is not ASCII text with LF line ends is
+    decoded once, a byte that is not UTF-8 being an error that names it
+    and its row, and rewritten as its lines. Line 0 is a header, and
+    ``start`` is 1, when any of its fields is not a number to ``float``
+    ("nan" and "inf" are numbers). The first data record is checked by
+    ``_parse_lines``; a file without one is empty or has no data rows,
+    both errors."""
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    if not raw.isascii() or any(c in raw for c in _OTHER_LINE_BREAKS):
+        try:
+            text = raw.decode()
+        except UnicodeDecodeError as err:
+            row = len((raw[:err.start].decode() + "x").splitlines())
+            raise ValueError(f"{path}: not UTF-8 text (byte 0x{raw[err.start]:02x} at row {row})") from None
+        raw = "\n".join([*text.splitlines(), ""]).encode()  # each line ends in "\n"
+    elif raw and not raw.endswith(b"\n"):
+        raw += b"\n"
+    # the first two lines, each without its "\n"
+    head = [line[:-1].decode() for line in islice(io.BytesIO(raw), 2)]
+    start = 1 if head and any(_parse_cell(tok) is None for tok in head[0].split(",")) else 0
+    if start == len(head):
+        raise ValueError(f"{path}: no data rows" if head else f"{path}: empty file")
+    width = head[start].count(",") + 1
+    _parse_lines(path, head[start:start + 1], start, width)
+    return raw, start, width
 
 
 def _read_width(path: str) -> int:
-    """The channel count of a samples-by-channels CSV, read from its head:
-    the file up to the end of its first data record.
-
-    The head is read by ``read_signal_csv``'s rules, so its errors are the
-    reader's: a leading UTF-8 byte order mark is dropped, a byte that is
-    not UTF-8 is an error, lines are those of ``str.splitlines``, the
-    header and the width come from ``_first_record``, and the first data
-    record is checked by ``_parse_lines``. Nothing after that record is
-    decoded or checked, so later rows may be ragged, non-numeric,
-    non-finite or not UTF-8.
-
-    Blocks are read until the decoded text holds the record and the line
-    break after it, the file ends, or a byte that is not UTF-8 stops the
-    text before the record."""
-    with open(path, "rb") as fh:
-        head = b""
-        while True:
-            block = fh.read(max(len(head), _HEAD_BYTES))
-            head += block
-            raw = head.removeprefix(codecs.BOM_UTF8)
-            try:
-                text, bad = codecs.utf_8_decode(raw, "strict", not block)[0], None
-            except UnicodeDecodeError as err:
-                text, bad = raw[:err.start].decode(), err.start
-            ended = not block and bad is None
-            # the lines that end in a line break, and the last one at the end of the file
-            lines = text.splitlines() if ended else (text + "x").splitlines()[:-1]
-            found = _first_record(path, lines, ended)
-            if found:
-                start, width = found
-                _parse_lines(path, lines[start:start + 1], start, width)
-                return width
-            if bad is not None:
-                raise _not_utf8(path, raw, bad)
+    """The channel count of a samples-by-channels CSV, from ``_read_csv``:
+    the whole file is decoded as ``read_signal_csv`` decodes it, and its
+    first data record is checked; later rows are not parsed, so they may
+    be ragged, non-numeric or non-finite."""
+    return _read_csv(path)[2]
 
 
 def read_signal_csv(path: str) -> SignalMatrix:
@@ -160,44 +138,27 @@ def read_signal_csv(path: str) -> SignalMatrix:
     naming the offending row and column (1-based, counting the header);
     so is a byte that is not UTF-8 text.
 
-    Lines are those of ``str.splitlines``. A file that is not ASCII text
-    with LF line ends is decoded once and rewritten as its lines, each
-    ending in ``"\\n"``, so every file is read from LF bytes, and every
-    value is the double that ``float`` gives for its cell. The data lines
-    go to one ``np.loadtxt``, which reads each cell with the C routine
-    that ``float`` calls, so it gives the same bits. Its result is kept
-    when it has one row per data line and ``width`` columns and every
-    value is finite. Otherwise all data lines go to ``_parse_lines``,
-    which reads the cells ``np.loadtxt`` rejects and ``float`` accepts
-    (``1_0``), and raises the first error in file order.
+    ``_read_csv`` gives the file as LF lines, so every value is the double
+    that ``float`` gives for its cell. The data lines go to one
+    ``np.loadtxt``, which reads each cell with the C routine that
+    ``float`` calls, so it gives the same bits. Its result is kept when it
+    has one row per data line and ``width`` columns and every value is
+    finite. Otherwise all data lines go to ``_parse_lines``, which reads
+    the cells ``np.loadtxt`` rejects and ``float`` accepts (``1_0``), and
+    raises the first error in file order.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read().removeprefix(codecs.BOM_UTF8)
-    if not raw.isascii() or any(c in raw for c in _OTHER_LINE_BREAKS):
-        try:
-            text = raw.decode()
-        except UnicodeDecodeError as err:
-            raise _not_utf8(path, raw, err.start) from None
-        raw = "\n".join([*text.splitlines(), ""]).encode()  # each line ends in "\n"
-    elif raw and not raw.endswith(b"\n"):
-        raw += b"\n"
-    n_lines = raw.count(b"\n")
-    # the first two lines, without the empty string after the last "\n"
-    head = raw.split(b"\n", 2)[:min(n_lines, 2)]
-    start, width = _first_record(path, [line.decode() for line in head])
-    # np.loadtxt skips blank lines, so a blank data line leaves it a row
-    # short, and it warns when it reads no row: it is not called when the
-    # first data line is blank
-    if head[start]:
-        try:
-            data = np.loadtxt(
-                io.BytesIO(raw), delimiter=",", comments=None, skiprows=start, ndmin=2, encoding="utf-8"
-            )
-        except ValueError:
-            pass
-        else:
-            if data.shape == (n_lines - start, width) and np.isfinite(data).all():
-                return SignalMatrix(data.T)
+    raw, start, width = _read_csv(path)
+    # the first data line is valid, so not blank: np.loadtxt, which skips
+    # blank lines and warns when it reads no row, reads at least one row
+    try:
+        data = np.loadtxt(
+            io.BytesIO(raw), delimiter=",", comments=None, skiprows=start, ndmin=2, encoding="utf-8"
+        )
+    except ValueError:
+        pass
+    else:
+        if data.shape == (raw.count(b"\n") - start, width) and np.isfinite(data).all():
+            return SignalMatrix(data.T)
     lines = raw.decode().split("\n")[:-1]
     return SignalMatrix(_parse_lines(path, lines[start:], start, width).T)
 
@@ -483,7 +444,10 @@ def cmd_synth(args) -> int:
                 break
     else:
         mixing = _read_matrix(args.mix, n)
-        if abs(np.linalg.det(mixing)) < 1e-12:
+        # singular when its least singular value is at most 1e-6 of the largest:
+        # center_and_whiten's 1e-12 eigenvalue floor on M M^T, free of scale
+        singular = np.linalg.svd(mixing, compute_uv=False)
+        if singular[-1] <= 1e-6 * singular[0]:
             raise ValueError(f"{args.mix}: mixing matrix is singular")
 
     observed = mix(SignalMatrix(sources), mixing)
@@ -596,9 +560,9 @@ def _fields_of(path: str):
 
 
 def cmd_evaluate(args) -> int:
-    """Score the estimate against the truth. Of ``--data`` only the head is
-    read (``_read_width``): its first data record must be valid and hold
-    one field per channel of the truth; later rows are not read."""
+    """Score the estimate against the truth. ``--data`` must be UTF-8
+    text whose first data record is valid and holds one field per channel
+    of the truth (``_read_width``); later rows are not parsed."""
     estimate = _load_json(args.estimate)
     truth = _load_json(args.truth)
     data_width = _read_width(args.data)
@@ -691,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--estimate", required=True, help="report JSON from separate")
     evaluate.add_argument("--truth", required=True, help="truth JSON from synth")
     evaluate.add_argument(
-        "--data", required=True, help="sources CSV (for shape checks); only its first data record is read and checked"
+        "--data", required=True, help="sources CSV (for shape checks); only its first data record is parsed and checked"
     )
     evaluate.add_argument("--out", required=True, help="metrics JSON")
 

@@ -440,7 +440,7 @@ class TestCsvStructure:
     @pytest.mark.parametrize("bad, position", [(None, None)] + [
         (bad, position)
         for bad in ("1,oops,3", "1,2", "1,2,3,4", "1,,3", "1,+2,3")  # a bad cell, short and wide rows, an empty cell
-        for position in (1, 6, 11)  # second, middle, last
+        for position in (0, 1, 6, 11)  # first, second, middle, last
     ])
     def test_layouts(self, tmp_path, values, layout, bad, position):
         rows = [",".join("%.17g" % v for v in row) for row in values.T]
@@ -448,10 +448,23 @@ class TestCsvStructure:
             rows[position] = bad
         path = tmp_path / "x.csv"
         path.write_bytes(LAYOUTS[layout]("".join(row + "\n" for row in rows)).encode())
-        assert outcome(read_signal_csv, path) == outcome(reference_read, path)
-        # the head read counts channels by the reader's first-record rule; a
-        # bad row after the first data row is past its head
-        assert cli._read_width(path) == len(reference_read(path) if bad is None else values)
+        read = outcome(read_signal_csv, path)
+        assert read == outcome(reference_read, path)
+        # _read_width takes the reader's first-record rule and parses no later
+        # row: a file the reader reads, or a bad row after the first data
+        # record, gives 3 channels; a short or wide first record gives its
+        # own field count; a bad cell in it, under a header, the reader's
+        # error (without a header, its row is the header)
+        try:
+            width = cli._read_width(path)
+        except ValueError as err:
+            width = str(err)
+        if read[0] == "values" or position:
+            assert width == len(values)
+        elif bad in ("1,2", "1,2,3,4"):
+            assert width == len(bad.split(","))
+        else:
+            assert ("error", width) == read
 
     @pytest.mark.parametrize("bad, message", [
         ("1,oops,3", "row 7, column 2: non-numeric value 'oops'"),
@@ -564,6 +577,33 @@ class TestSynth:
             "--seed", 2, "--out", data, "--truth-out", truth,
         ) == 0
         assert json.loads(truth.read_text())["mixing"] == [[1.0, 1.0], [0.0, 1.0]]
+
+    def test_mixing_file_at_small_scale(self, tmp_path):
+        # the singularity check is free of scale: 1e-5 I is as well
+        # conditioned as I
+        mixing = tmp_path / "small.csv"
+        mixing.write_text("1e-05,0,0\n0,1e-05,0\n0,0,1e-05\n")
+        truth = tmp_path / "t.json"
+        assert run(
+            "synth", "--channels", 3, "--samples", 150, "--mix", mixing,
+            "--seed", 2, "--out", tmp_path / "d.csv", "--truth-out", truth,
+        ) == 0
+        assert json.loads(truth.read_text())["mixing"] == (1e-5 * np.eye(3)).tolist()
+
+    @pytest.mark.parametrize("content, message", [
+        ("1,1\n1,1.0000000001\n", "mixing matrix is singular"),  # condition number about 4e10
+        ("1,2,3\n4,5,6\n", "expected a 2x2 matrix"),
+    ], ids=["near-singular", "wrong-shape"])
+    def test_bad_mixing_file_exits_2_without_files(self, tmp_path, capsys, content, message):
+        mixing = tmp_path / "mix.csv"
+        mixing.write_text(content)
+        code = run(
+            "synth", "--channels", 2, "--samples", 100, "--mix", mixing,
+            "--out", tmp_path / "d.csv", "--truth-out", tmp_path / "t.json",
+        )
+        assert code == 2
+        assert f"error: {mixing}: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [mixing]
 
     def test_unknown_margin_exits_2(self, tmp_path, capsys):
         code = run(
@@ -976,8 +1016,7 @@ class TestEvaluate:
         return evaluate, clean
 
     @pytest.mark.parametrize("header", [False, True])
-    @pytest.mark.parametrize("row", [b"1,2", b"1,oops,3", b"1,nan,3", b"1,\xff,3"],
-                             ids=["ragged", "non-numeric", "non-finite", "not-utf8"])
+    @pytest.mark.parametrize("row", [b"1,2", b"1,oops,3", b"1,nan,3"], ids=["ragged", "non-numeric", "non-finite"])
     def test_rows_after_the_first_record_are_not_read(self, tmp_path, scored, header, row):
         # only the channel count of --data is used, so a bad row after the
         # first data record, which the full reader rejects, changes nothing
@@ -991,6 +1030,23 @@ class TestEvaluate:
         assert code == 0
         assert metrics == evaluate(clean)[1]
 
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("last", [False, True], ids=["second-row", "appended"])
+    def test_byte_not_utf8_after_the_first_record_exits_2(self, tmp_path, capsys, scored, header, last):
+        # the whole of --data is decoded as the reader decodes it, so a byte
+        # that is not UTF-8 anywhere in it is the reader's error
+        evaluate, clean = scored
+        first, *rest = clean.read_bytes().splitlines(keepends=True)
+        bad = [b"1,\xff,3\n"]
+        rows = [first, *rest, *bad] if last else [first, *bad, *rest]
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"c1,c2,c3\n" * header + b"".join(rows))
+        message = f"{data}: not UTF-8 text (byte 0xff at row {header + (len(rows) if last else 2)})"
+        capsys.readouterr()
+        assert evaluate(data) == (2, None)
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert outcome(read_signal_csv, data) == ("error", message)
+
     @pytest.mark.parametrize("content, message, reader_agrees", [
         (b"", "empty file", True),
         (b"c1,c2,c3\n", "no data rows", True),
@@ -1003,8 +1059,9 @@ class TestEvaluate:
     ], ids=["empty", "header-only", "not-utf8-first-line", "not-utf8-first-record", "ragged-first-record",
             "non-numeric-first-record", "nan-first-record", "channel-mismatch"])
     def test_bad_head_exits_2_naming_the_file(self, tmp_path, capsys, scored, content, message, reader_agrees):
-        # up to its first data record, --data is checked as read_signal_csv
-        # checks it, and that record must hold one field per channel
+        # --data is decoded, and its first data record checked, as
+        # read_signal_csv does it, and that record must hold one field per
+        # channel
         evaluate, _ = scored
         data = tmp_path / "bad.csv"
         data.write_bytes(content)
@@ -1014,7 +1071,7 @@ class TestEvaluate:
         if reader_agrees:
             assert outcome(read_signal_csv, data) == ("error", f"{data}: {message}")
 
-    def test_data_is_never_read_in_full(self, scored):
+    def test_data_is_never_parsed_in_full(self, scored):
         evaluate, clean = scored
         with mock.patch.object(cli, "read_signal_csv", side_effect=AssertionError("read_signal_csv")) as spy:
             assert evaluate(clean)[0] == 0
@@ -1026,23 +1083,21 @@ class TestEvaluate:
         ("temp\u00e9rature,b\u2028 1,2,3\u20291,2\n", 3),
         ("1,2,3,4\r", 4),
         ("c\u00e9,c2\n1,2", 2),
-        ("c1,c2\r\n1,2\r\n\udcff", 2),
+        ("c1,c2\r\n1,2\r\n\udcff", "not UTF-8 text (byte 0xff at row 3)"),
         ("c\u00e9\udcff,c2\n1,2\n", "not UTF-8 text (byte 0xff at row 1)"),
         ("c1\r\n", "no data rows"),
         ("1,inf\n1,2\n", "row 1, column 2: non-finite value 'inf'"),
     ])
-    @pytest.mark.parametrize("head_bytes", [1, 2, 3, 4096])
-    def test_head_read_over_block_boundaries(self, tmp_path, content, expected, head_bytes):
-        # blocks of a few bytes split a BOM, a multi-byte character and a
-        # "\r\n"; every block size gives the file's width or error
-        # ("\udcff" writes the byte 0xff)
+    def test_width_over_encodings_and_line_breaks(self, tmp_path, content, expected):
+        # a BOM, multi-byte characters, "\r\n", Unicode line breaks and a
+        # missing final newline give the file's width or error ("\udcff"
+        # writes the byte 0xff)
         data = tmp_path / "x.csv"
         data.write_bytes(content.encode("utf-8", "surrogateescape"))
-        with mock.patch.object(cli, "_HEAD_BYTES", head_bytes):
-            try:
-                got = cli._read_width(data)
-            except ValueError as err:
-                got = str(err).removeprefix(f"{data}: ")
+        try:
+            got = cli._read_width(data)
+        except ValueError as err:
+            got = str(err).removeprefix(f"{data}: ")
         assert got == expected
 
     def test_missing_file_exits_2(self, tmp_path):
